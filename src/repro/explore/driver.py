@@ -491,7 +491,7 @@ def measure_probe_latencies(
 
 # -- process-pool fan-out ----------------------------------------------------
 
-_WORKER_STATE: dict = {}
+_EXPLORE_WORKER: dict = {}
 
 
 def _init_worker(payload: bytes, cache_root: Optional[str]) -> None:
@@ -501,9 +501,9 @@ def _init_worker(payload: bytes, cache_root: Optional[str]) -> None:
     import pickle
 
     config, workload = pickle.loads(payload)
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["workload"] = workload
-    _WORKER_STATE["plan_cache"] = (
+    _EXPLORE_WORKER["config"] = config
+    _EXPLORE_WORKER["workload"] = workload
+    _EXPLORE_WORKER["plan_cache"] = (
         PlanCache(root=cache_root) if cache_root else None
     )
 
@@ -512,8 +512,8 @@ def _evaluate_remote(coords: Tuple[int, int, int, str]) -> dict:
     """Pool task: evaluate one point from its coordinates."""
     point = ExplorePoint(*coords)
     return evaluate_point(
-        point, _WORKER_STATE["workload"], _WORKER_STATE["config"],
-        plan_cache=_WORKER_STATE["plan_cache"],
+        point, _EXPLORE_WORKER["workload"], _EXPLORE_WORKER["config"],
+        plan_cache=_EXPLORE_WORKER["plan_cache"],
     )
 
 

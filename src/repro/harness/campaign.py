@@ -90,7 +90,6 @@ class CampaignConfig:
             zero-injection trials replay, injecting trials transparently
             fall back -- results are bit-identical either way; see
             docs/ENGINE.md).  Mutually exclusive with ``parallel_parts``.
-        queue_backend: Event-queue backend for the trial simulators.
         max_events: Runaway guard per trial.
         deadline_s: Optional wall-clock guard per trial (see
             :meth:`repro.rsfq.simulator.Simulator.run`).
@@ -107,7 +106,6 @@ class CampaignConfig:
     fault_delay_ps: float = 5.0
     parallel_parts: int = 0
     engine: str = "event"
-    queue_backend: str = "heap"
     max_events: int = 10_000_000
     deadline_s: Optional[float] = None
 
@@ -343,7 +341,7 @@ def run_resilience_campaign(
     # Chain latency: probe arrival time of an unfaulted pulse, measured
     # once on a clean run (robust to custom factories).
     net, probe = factory()
-    sim = Simulator(net, queue_backend=config.queue_backend)
+    sim = Simulator(net)
     sim.schedule_input(next(iter(net.cells)), "din", 0.0)
     sim.run(max_events=config.max_events)
     latency = probe.times[0] if probe.times else 0.0
@@ -377,7 +375,6 @@ def run_resilience_campaign(
                             jitter_mode="wire", faults=model,
                             max_events=config.max_events,
                             deadline_s=config.deadline_s,
-                            queue_backend=config.queue_backend,
                             netlist=net,
                         )
                         bits += config.n_pulses
@@ -396,14 +393,12 @@ def run_resilience_campaign(
                         trial_sim = ParallelSimulator(
                             net, parts=config.parallel_parts,
                             jitter_ps=sigma, seed=jitter_seed,
-                            queue_backend=config.queue_backend,
                             faults=model,
                         )
                     else:
                         trial_sim = Simulator(
                             net, jitter_ps=sigma, seed=jitter_seed,
                             jitter_mode="wire",
-                            queue_backend=config.queue_backend,
                             faults=model,
                         )
                     stats = trial_sim.run_batch(

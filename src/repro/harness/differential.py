@@ -10,6 +10,9 @@ proof as reusable machinery:
   engine (batched fast, per-sample fast, behavioural chip, software
   final-sum reference) and compare rasters, predictions and spike counts
   bit-for-bit;
+* :func:`reference_forward_rows` -- the pre-compile per-layer kernel,
+  kept as the oracle the compiled fast engine is checked against
+  (engine ``"legacy-fast"``);
 * :func:`gate_level_step_outputs` / :func:`run_gate_level_differential`
   -- drive a single random neuron through the gate-level RSFQ chip and
   check it against the behavioural/fast decisions (the miniature version
@@ -29,16 +32,66 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.harness.regression import MetricSnapshot
 from repro.snn.binarize import BinarizedLayer, BinarizedNetwork
+from repro.ssnn.bucketing import hardware_layer_outputs
 from repro.ssnn.runtime import RuntimeResult, SushiRuntime
 
 #: Engines understood by :func:`run_differential`.
 ENGINES = ("fast", "per-sample", "behavioral")
 
-#: :data:`ENGINES` plus ``"legacy-fast"``: the pre-compile batched kernel
-#: (``SushiRuntime(use_compiled=False)``, i.e. the ``_plan_for`` path the
-#: compiled artifacts are gated against).  Kept as a separate constant so
-#: snapshots and tests pinned to :data:`ENGINES` stay byte-stable.
+#: :data:`ENGINES` plus ``"legacy-fast"``: the batched pre-compile
+#: reference kernel (:func:`reference_forward_rows` with the
+#: ``_plan_for`` reload estimate) the compiled artifacts are gated
+#: against.  Kept as a separate constant so snapshots and tests pinned to
+#: :data:`ENGINES` stay byte-stable.
 EXTENDED_ENGINES = ENGINES + ("legacy-fast",)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel
+# ---------------------------------------------------------------------------
+
+def reference_forward_rows(
+    layers: Sequence[BinarizedLayer],
+    rows: np.ndarray,
+    capacity: int,
+    reorder: bool,
+) -> Tuple[np.ndarray, int, int]:
+    """Push independent spike rows through the layer stack under exact
+    ripple-counter semantics.
+
+    Returns ``(decisions, spurious, synops)``.  This is the pre-compile
+    kernel kept as the differential oracle; the runtime's fast engine
+    runs the fused
+    :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows` instead,
+    which is bit-identical but folds the final-sum reference and the
+    synops statistic into the two bucket matmuls.
+    """
+    current = rows
+    spurious = 0
+    synops = 0
+    for layer in layers:
+        decisions, _ = hardware_layer_outputs(
+            layer, current, capacity, reorder=reorder
+        )
+        reference = layer.forward(current)
+        spurious += int((decisions != reference).sum())
+        synops += int((current @ (layer.signed_weights != 0)).sum())
+        current = decisions
+    return current, spurious, synops
+
+
+class _ReferenceRuntime(SushiRuntime):
+    """:class:`SushiRuntime` whose fast engine runs
+    :func:`reference_forward_rows` (engine ``"legacy-fast"``).  Only the
+    row computation differs, so the self-healing loop and
+    :meth:`~SushiRuntime.infer_per_sample` run over the oracle too."""
+
+    def _forward_rows(self, network, rows):
+        decisions, spurious, synops = reference_forward_rows(
+            network.layers, rows, 1 << self.sc_per_npe, self.reorder
+        )
+        reloads = self._plan_for(network).reload_events()
+        return decisions, spurious, synops, reloads
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +294,10 @@ def run_differential(
     """Run one workload through every requested engine and diff the bits.
 
     ``engines`` may contain ``"fast"`` (batched, compiled-plan path),
-    ``"legacy-fast"`` (the batched pre-compile kernel,
-    ``use_compiled=False``), ``"per-sample"`` (the fast engine sample by
-    sample) and ``"behavioral"`` (protocol-exact chip).  The first entry
-    is the baseline the others are compared to.  With
+    ``"legacy-fast"`` (the batched pre-compile reference kernel,
+    :func:`reference_forward_rows`), ``"per-sample"`` (the fast engine
+    sample by sample) and ``"behavioral"`` (protocol-exact chip).  The
+    first entry is the baseline the others are compared to.  With
     ``check_software=True`` (and ``reorder=True``) the baseline's raster
     is also checked against the software final-sum reference
     (:meth:`BinarizedNetwork.forward_step` per step).
@@ -281,10 +334,10 @@ def run_differential(
             )
             results[engine] = runtime.infer_per_sample(network, spike_trains)
         elif engine == "legacy-fast":
-            runtime = SushiRuntime(
+            runtime = _ReferenceRuntime(
                 chip_n=chip_n, sc_per_npe=sc_per_npe,
                 engine="fast", reorder=reorder, faults=faults,
-                use_compiled=False, plan_cache=plan_cache,
+                plan_cache=plan_cache,
             )
             results[engine] = runtime.infer(network, spike_trains)
         else:
@@ -333,8 +386,9 @@ def run_compiled_differential(
     configurations:
 
     * ``"reorder"`` -- all of :data:`EXTENDED_ENGINES` under reordered
-      bucketing (compiled ``fast`` vs the legacy ``_plan_for`` kernel vs
-      per-sample vs the behavioural chip, plus the software reference);
+      bucketing (compiled ``fast`` vs the :func:`reference_forward_rows`
+      kernel vs per-sample vs the behavioural chip, plus the software
+      reference);
     * ``"naive-order"`` -- compiled vs legacy vs per-sample with
       ``reorder=False`` (the behavioural engine is reorder-only);
     * ``"faulted"`` -- all engines again with a ``pulse_drop``

@@ -33,12 +33,7 @@ from repro.rsfq.constraints import (
     NDRO_RST_TO_CLK,
     TFF_MIN_INTERVAL,
 )
-from repro.rsfq.events import (
-    QUEUE_BACKENDS,
-    EventQueue,
-    PulseEvent,
-    SortedListQueue,
-)
+from repro.rsfq.events import EventQueue, PulseEvent
 from repro.rsfq.faults import (
     FAULT_KINDS,
     FaultModel,
@@ -86,8 +81,6 @@ __all__ = [
     "Violation",
     "PulseEvent",
     "EventQueue",
-    "SortedListQueue",
-    "QUEUE_BACKENDS",
     "Netlist",
     "FanoutTable",
     "Wire",

@@ -9,30 +9,17 @@ standalone users may store strings.  :class:`PulseEvent` objects exist
 only as a *materialisation boundary* for tracing, debugging and error
 messages (:meth:`EventQueue.pop_event` / :meth:`PulseEvent.from_entry`).
 
-Two interchangeable queue backends implement the same protocol
-(``push`` / ``pop`` / ``pop_event`` / ``peek_time`` / ``clear`` /
-``__len__`` / ``__bool__``):
-
-* :class:`EventQueue` -- a binary min-heap, the default.  O(log n) per
-  operation regardless of schedule shape.
-* :class:`SortedListQueue` -- an insertion-sorted list popped from the
-  tail: O(1) pops and peeks, bisect-insert pushes.  Wins on pop-heavy /
-  peek-heavy workloads and small queues; the heap wins on deep queues
-  with interleaved arrival times.
-
-Both are deterministic: simultaneous events pop in schedule (sequence)
-order, because the heap/list keys compare ``(time, seq)`` first and
-``seq`` is unique.  :data:`QUEUE_BACKENDS` maps backend names to classes
-for the :class:`repro.rsfq.simulator.Simulator` ``queue_backend=``
-option.
+:class:`EventQueue` is a binary min-heap (O(log n) per operation
+regardless of schedule shape) and deterministic: simultaneous events pop
+in schedule (sequence) order, because the heap keys compare
+``(time, seq)`` first and ``seq`` is unique.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: A queue entry: ``(time, seq, target, port)``.  ``target``/``port`` are
 #: opaque to the queue (integer indices on the simulator fast path).
@@ -108,58 +95,3 @@ class EventQueue:
 
     def clear(self) -> None:
         self._heap.clear()
-
-
-@dataclass
-class SortedListQueue:
-    """A sorted-list queue popped from the tail (earliest entry last).
-
-    Insertion uses :func:`bisect.insort` on ``(-time, -seq)`` keys so that
-    the earliest entry sits at the end of the list: ``pop`` and
-    ``peek_time`` are O(1) list-tail operations, while pushes pay a
-    bisect search plus a C-level ``memmove``.
-    """
-
-    _items: List[tuple] = field(default_factory=list)
-    _seq: int = 0
-
-    def push(self, time: float, target, port) -> Entry:
-        """Schedule a pulse arrival; returns the entry tuple."""
-        seq = self._seq
-        self._seq += 1
-        bisect.insort(self._items, (-time, -seq, target, port))
-        return (time, seq, target, port)
-
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the earliest entry tuple, or None when empty."""
-        if not self._items:
-            return None
-        neg_time, neg_seq, target, port = self._items.pop()
-        return (-neg_time, -neg_seq, target, port)
-
-    def pop_event(self) -> Optional[PulseEvent]:
-        """Like :meth:`pop` but materialises a :class:`PulseEvent`."""
-        entry = self.pop()
-        return None if entry is None else PulseEvent.from_entry(entry)
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the earliest pending entry without removing it."""
-        if not self._items:
-            return None
-        return -self._items[-1][0]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def clear(self) -> None:
-        self._items.clear()
-
-
-#: Queue-backend registry for ``Simulator(queue_backend=...)``.
-QUEUE_BACKENDS: Dict[str, type] = {
-    "heap": EventQueue,
-    "sorted": SortedListQueue,
-}

@@ -53,7 +53,7 @@ from __future__ import annotations
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeoutError
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     ConfigurationError,
@@ -234,7 +234,7 @@ class ParallelSimulator:
             :meth:`repro.neuro.chip.GateLevelChip.partition_hints`).
         plan: Pre-computed :class:`~repro.rsfq.partition.PartitionPlan`
             (overrides ``parts``/``hints``).
-        strict / trace / jitter_ps / seed / queue_backend: As on
+        strict / trace / jitter_ps / seed: As on
             :class:`Simulator`.  ``trace`` receives the deterministic
             merge of the per-partition traces after every :meth:`run`.
         jitter_mode: Only ``"wire"`` is supported (see module docs).
@@ -276,7 +276,6 @@ class ParallelSimulator:
         trace: Optional[PulseTrace] = None,
         jitter_ps: float = 0.0,
         seed: Optional[int] = None,
-        queue_backend: Union[str, Callable] = "heap",
         jitter_mode: str = "wire",
         executor: str = "serial",
         faults: Optional[FaultModel] = None,
@@ -351,7 +350,6 @@ class ParallelSimulator:
                 trace=None if trace is None else PulseTrace(),
                 jitter_ps=jitter_ps,
                 seed=seed,
-                queue_backend=queue_backend,
                 jitter_mode="wire",
                 faults=faults,
             ))

@@ -17,7 +17,7 @@ Typical use::
 
     from repro.rsfq import Netlist, SimulationSession, library
 
-    session = SimulationSession(net, queue_backend="sorted")
+    session = SimulationSession(net)
     results = session.run_batch([
         [("in0", "din", 0.0), ("in0", "din", 50.0)],
         [("in0", "din", 0.0)],
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 from repro.rsfq.netlist import Netlist
 from repro.rsfq.simulator import RunStats, Simulator, Stimulus
@@ -96,8 +96,6 @@ class SimulationSession:
         record_traces: When True, each run gets a fresh
             :class:`~repro.rsfq.waveform.PulseTrace` attached to its
             :class:`RunResult`.
-        queue_backend: Event-queue backend name or factory (see
-            :data:`repro.rsfq.events.QUEUE_BACKENDS`).
         parallel_parts: When >= 2, runs execute on the partitioned
             :class:`~repro.rsfq.parallel.ParallelSimulator` with that
             many partitions (results are bit-identical to sequential
@@ -135,7 +133,6 @@ class SimulationSession:
         jitter_ps: float = 0.0,
         seed: Optional[int] = None,
         record_traces: bool = False,
-        queue_backend: Union[str, Callable] = "heap",
         parallel_parts: int = 0,
         partition_hints: Optional[dict] = None,
         jitter_mode: Optional[str] = None,
@@ -158,7 +155,6 @@ class SimulationSession:
         self.jitter_ps = float(jitter_ps)
         self.seed = seed
         self.record_traces = record_traces
-        self.queue_backend = queue_backend
         self.parallel_parts = int(parallel_parts)
         self.partition_hints = partition_hints
         self.jitter_mode = jitter_mode
@@ -185,7 +181,6 @@ class SimulationSession:
                 trace=trace,
                 jitter_ps=self.jitter_ps,
                 seed=run_seed,
-                queue_backend=self.queue_backend,
                 faults=self.faults,
                 **kwargs,
             )
@@ -198,7 +193,6 @@ class SimulationSession:
             trace=trace,
             jitter_ps=self.jitter_ps,
             seed=run_seed,
-            queue_backend=self.queue_backend,
             faults=self.faults,
             **kwargs,
         )

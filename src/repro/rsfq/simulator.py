@@ -6,7 +6,7 @@ dispatch to cell, push fan-out), so the per-event constant factor *is*
 the benchmark.  The hot path therefore
 
 * moves bare ``(time, seq, cell_idx, port_idx)`` tuples through the
-  queue backends -- no per-event object allocation
+  event heap -- no per-event object allocation
   (:class:`~repro.rsfq.events.PulseEvent` is materialised only at trace
   and debug boundaries);
 * resolves cells and ports to integer indices once, at netlist
@@ -27,7 +27,7 @@ import random
 import time as _time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     ConfigurationError,
@@ -36,7 +36,7 @@ from repro.errors import (
     FaultInjectionError,
 )
 from repro.rsfq.cells import Cell, Violation
-from repro.rsfq.events import QUEUE_BACKENDS, EventQueue
+from repro.rsfq.events import EventQueue
 from repro.rsfq.faults import FaultModel, canonical_log
 from repro.rsfq.netlist import Netlist
 from repro.rsfq.waveform import PulseTrace
@@ -121,12 +121,6 @@ class Simulator:
             variation of the physical chip (used as the "measured chip" side
             of the Fig. 16 comparison).
         seed: Seed for the jitter random stream (deterministic runs).
-        queue_backend: Event-queue implementation -- a name from
-            :data:`repro.rsfq.events.QUEUE_BACKENDS` (``"heap"`` or
-            ``"sorted"``) or any zero-argument callable returning an object
-            with the queue protocol (``push``/``pop``/``peek_time``/
-            ``clear``/``__len__``/``__bool__``).  All backends are
-            deterministic and produce identical event orders.
         jitter_mode: How jitter draws are sequenced.
 
             * ``"global"`` (default, legacy): one stream consumed in
@@ -153,7 +147,6 @@ class Simulator:
         trace: Optional[PulseTrace] = None,
         jitter_ps: float = 0.0,
         seed: Optional[int] = None,
-        queue_backend: Union[str, Callable] = "heap",
         jitter_mode: str = "global",
         faults: Optional[FaultModel] = None,
     ):
@@ -171,7 +164,7 @@ class Simulator:
         self._rng = random.Random(seed)
         self._wire_rngs: dict = {}
         self.faults = faults
-        self.queue = self._make_queue(queue_backend)
+        self.queue = EventQueue()
         self.now = 0.0
         self.violations: List[Violation] = []
         #: Total pulses delivered (event count) -- activity metric.
@@ -189,19 +182,6 @@ class Simulator:
         self._fanout = netlist.elaborate()
         self._install_views()
         self._bind_deliver()
-
-    @staticmethod
-    def _make_queue(queue_backend: Union[str, Callable]):
-        if callable(queue_backend):
-            return queue_backend()
-        try:
-            factory = QUEUE_BACKENDS[queue_backend]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown queue backend '{queue_backend}'; available: "
-                f"{sorted(QUEUE_BACKENDS)} (or pass a callable)"
-            )
-        return factory()
 
     def _install_views(self) -> None:
         """Resolve the cell/port views the run loops index through.
@@ -230,11 +210,11 @@ class Simulator:
         ``faults=None`` (or an empty model) keeps the allocation-free fast
         path byte-for-byte.
 
-        When the instance uses the stock heap backend *and* has not
-        overridden ``_deliver_ideal`` (the partitioned engine's local
-        engines do, to route cross-partition pulses), the ideal variant is
-        further specialised to push entries straight onto the underlying
-        heap, skipping the queue's Python-level ``push`` wrapper.
+        When the instance has not overridden ``_deliver_ideal`` (the
+        partitioned engine's local engines do, to route cross-partition
+        pulses), the ideal variant is further specialised to push entries
+        straight onto the underlying heap, skipping the queue's
+        Python-level ``push`` wrapper.
         """
         if self._fault_runtime is not None:
             if self.jitter_ps > 0.0 and self.jitter_mode != "wire":
@@ -246,10 +226,7 @@ class Simulator:
                 )
             self.deliver = self._deliver_faulty
         elif self.jitter_ps <= 0.0:
-            if (
-                type(self)._deliver_ideal is Simulator._deliver_ideal
-                and type(self.queue) is EventQueue
-            ):
+            if type(self)._deliver_ideal is Simulator._deliver_ideal:
                 self.deliver = self._deliver_ideal_heap
             else:
                 self.deliver = self._deliver_ideal
@@ -483,11 +460,11 @@ class Simulator:
         processed = 0
         try:
             if self.trace is None:
-                if until is None and type(queue) is EventQueue:
-                    # Fastest path: no trace, no horizon, stock heap
-                    # backend -- pop entries straight off the underlying
-                    # heap (C-level ``heappop``, list truthiness instead
-                    # of the queue's ``__bool__``/``pop`` wrappers).
+                if until is None:
+                    # Fastest path: no trace, no horizon -- pop entries
+                    # straight off the underlying heap (C-level
+                    # ``heappop``, list truthiness instead of the queue's
+                    # ``__bool__``/``pop`` wrappers).
                     heap = queue._heap
                     while heap:
                         if processed >= max_events:
@@ -496,19 +473,6 @@ class Simulator:
                                 "suspected feedback oscillation in the netlist"
                             )
                         time, _seq, ci, pi = heappop(heap)
-                        self.now = time
-                        cell = cells[ci]
-                        cell.receive(ports[ci][pi], time, self)
-                        processed += 1
-                elif until is None:
-                    # Fast path: no trace, no horizon.
-                    while queue:
-                        if processed >= max_events:
-                            raise ConfigurationError(
-                                f"simulation exceeded {max_events} events; "
-                                "suspected feedback oscillation in the netlist"
-                            )
-                        time, _seq, ci, pi = pop()
                         self.now = time
                         cell = cells[ci]
                         cell.receive(ports[ci][pi], time, self)
@@ -615,8 +579,8 @@ class Simulator:
     ) -> float:
         """Serve :meth:`run` from the trace layer (``engine="traced"``).
 
-        Eligible only for a whole episode from the power-on state on the
-        stock heap backend with un-overridden delivery; anything else --
+        Eligible only for a whole episode from the power-on state with
+        un-overridden delivery; anything else --
         and any replay-side divergence -- re-enters the normal event
         loop on the already-populated queue, which is bit-identical by
         construction.
@@ -628,7 +592,6 @@ class Simulator:
             and deadline_s is None
             and self.now == 0.0
             and self.events_processed == 0
-            and type(self.queue) is EventQueue
             and type(self)._deliver_ideal is Simulator._deliver_ideal
         )
         if not eligible:

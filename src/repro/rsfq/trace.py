@@ -989,7 +989,6 @@ class TraceEngine:
         strict: bool = False,
         max_events: int = 10_000_000,
         deadline_s: Optional[float] = None,
-        queue_backend="heap",
         netlist: Optional[Netlist] = None,
         want_trace: bool = False,
         allow_record: bool = True,
@@ -1014,7 +1013,6 @@ class TraceEngine:
             trace=PulseTrace() if want_trace else None,
             jitter_ps=jitter_ps,
             seed=seed,
-            queue_backend=queue_backend,
             jitter_mode=jitter_mode,
             faults=faults,
         )

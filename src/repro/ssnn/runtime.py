@@ -2,12 +2,13 @@
 
 Two execution engines share one semantics:
 
-* ``engine="fast"`` -- vectorised ripple-counter simulation
-  (:func:`repro.ssnn.bucketing.hardware_layer_outputs`): the whole
-  ``(T, batch)`` test set is folded into one row block per layer, so the
-  numpy kernels see thousands of independent rows at once instead of one
-  time step at a time; used by the Table 3 benchmark.  An optional
-  ``max_workers`` process pool shards the rows for multi-core runs.
+* ``engine="fast"`` -- vectorised ripple-counter simulation through the
+  compile-once :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows`
+  kernel: the whole ``(T, batch)`` test set is folded into one row block,
+  so the numpy kernels see thousands of independent rows at once instead
+  of one time step at a time; used by the Table 3 benchmark.  With
+  ``max_workers`` the rows are sharded across a persistent
+  :class:`repro.ssnn.pool.InferencePool` for multi-core runs.
 * ``engine="behavioral"`` -- drives a
   :class:`repro.neuro.chip.BehavioralChip` through the full bit-slice
   protocol pass by pass: slow but protocol-exact, used to validate the fast
@@ -18,7 +19,9 @@ Both honour the ``reorder`` flag so the bucketing ablation
 (section 4.2.2 / 5.1) can quantify the accuracy cost of naive synapse
 ordering, and both are bit-identical to the per-sample reference loop
 (:meth:`SushiRuntime.infer_per_sample`) -- the differential harness in
-:mod:`repro.harness.differential` asserts exactly that.
+:mod:`repro.harness.differential` asserts exactly that, and also checks
+the fast engine against the pre-compile reference kernel it keeps as its
+oracle.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.neuro.chip import BehavioralChip, ChipConfig
 from repro.rsfq.faults import FaultModel
-from repro.snn.binarize import BinarizedLayer, BinarizedNetwork
+from repro.snn.binarize import BinarizedNetwork
 from repro.ssnn.bitslice import BitSlicePlan, plan_network
-from repro.ssnn.bucketing import hardware_layer_outputs
 from repro.ssnn.compile import (
     CompiledNetwork,
     PlanCache,
@@ -167,67 +169,12 @@ def batch_layer_activity(
     activity = [spike_trains]
     current = spike_trains
     for layer in plan.network.layers:
-        flat = layer.forward(current.reshape(steps * batch, -1))
+        flat = layer.forward(
+            current.reshape(steps * batch, layer.in_features)
+        )
         current = flat.reshape(steps, batch, layer.out_features)
         activity.append(current)
     return activity
-
-
-def _fast_forward_rows(
-    layers: Sequence[BinarizedLayer],
-    rows: np.ndarray,
-    capacity: int,
-    reorder: bool,
-) -> Tuple[np.ndarray, int, int]:
-    """Push independent spike rows through the layer stack under exact
-    ripple-counter semantics.
-
-    Returns ``(decisions, spurious, synops)``.  Module-level (not a
-    method) so process-pool workers can pickle it.  This is the
-    *legacy* (pre-compile) kernel kept as the differential baseline;
-    the serving path runs the fused
-    :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows` instead,
-    which is bit-identical but folds the final-sum reference and the
-    synops statistic into the two bucket matmuls.
-    """
-    current = rows
-    spurious = 0
-    synops = 0
-    for layer in layers:
-        decisions, _ = hardware_layer_outputs(
-            layer, current, capacity, reorder=reorder
-        )
-        reference = layer.forward(current)
-        spurious += int((decisions != reference).sum())
-        synops += int((current @ (layer.signed_weights != 0)).sum())
-        current = decisions
-    return current, spurious, synops
-
-
-# -- process-pool worker state (one-shot executor path) ----------------------
-#
-# The layer stack (or compiled plan) crosses the process boundary exactly
-# once, through the executor's initializer, instead of being re-pickled
-# with every mapped chunk as the interim implementation did.
-
-_WORKER_STATE: dict = {}
-
-
-def _init_fast_worker(layers, capacity, reorder) -> None:
-    _WORKER_STATE["fast"] = (list(layers), capacity, reorder)
-
-
-def _run_fast_chunk(chunk: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    layers, capacity, reorder = _WORKER_STATE["fast"]
-    return _fast_forward_rows(layers, chunk, capacity, reorder)
-
-
-def _init_compiled_worker(compiled: CompiledNetwork) -> None:
-    _WORKER_STATE["compiled"] = compiled
-
-
-def _run_compiled_chunk(chunk: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    return _WORKER_STATE["compiled"].forward_rows(chunk)
 
 
 @dataclass
@@ -246,14 +193,17 @@ class RuntimeResult:
         reload_events: Crosspoint reloads (behavioural engine) or the
             plan's static estimate (fast engine).
         attempts: Inference attempts executed (1 without faults; includes
-            the fallback run when degradation engaged).
+            the fallback run when degradation engaged; summed over the
+            samples by :meth:`SushiRuntime.infer_per_sample`).
         degraded: True when the self-healing loop exhausted its retries
-            and fell back to fault-free semantics.
+            and fell back to fault-free semantics (for any sample, under
+            :meth:`SushiRuntime.infer_per_sample`).
         fault_injections: Spike-train faults injected across all
             attempts (0 without an attached fault model).
         recovery: Human-readable recovery trail -- one line per corrupted
             attempt plus the fallback decision (empty when the first
-            attempt was clean).
+            attempt was clean; prefixed with the sample index by
+            :meth:`SushiRuntime.infer_per_sample`).
     """
 
     rates: np.ndarray
@@ -281,18 +231,10 @@ class SushiRuntime:
         max_workers: Fast engine only -- shard the row block across a
             worker pool of this size.  ``None``/``0``/``1`` run serially
             (the default; identical results either way, the pool only
-            changes wall-clock time).  With ``persistent_workers=True``
-            (default) the workers are a long-lived
+            changes wall-clock time).  The workers are a long-lived
             :class:`~repro.ssnn.pool.InferencePool`: spawned on first
             use, fed through shared memory, reused across ``infer``
             calls, released by :meth:`close` (or GC).
-        persistent_workers: When False, fall back to a throwaway
-            per-call ``ProcessPoolExecutor`` (the plan still crosses
-            the process boundary only once, via the initializer).
-        use_compiled: Execute the fast engine through the compile-once
-            :class:`~repro.ssnn.compile.CompiledNetwork` artifact
-            (default).  ``False`` selects the legacy per-layer kernel --
-            bit-identical, kept as the differential baseline.
         plan_cache: ``"default"`` (share the process-wide on-disk
             :class:`~repro.ssnn.compile.PlanCache`), ``None`` (compile
             in memory only) or an explicit :class:`PlanCache`.
@@ -321,9 +263,7 @@ class SushiRuntime:
         max_workers: Optional[int] = None,
         faults: Optional[FaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        use_compiled: bool = True,
         plan_cache="default",
-        persistent_workers: bool = True,
     ):
         if engine not in ("fast", "behavioral"):
             raise ConfigurationError(
@@ -338,12 +278,10 @@ class SushiRuntime:
         self.max_workers = max_workers
         self.faults = faults
         self.retry_policy = retry_policy or RetryPolicy()
-        self.use_compiled = use_compiled
-        self.persistent_workers = persistent_workers
         self.plan_cache: Optional[PlanCache] = resolve_plan_cache(plan_cache)
         self._plan_cache: dict = {}
         self._compiled_memo: dict = {}
-        self._pool = None  # lazily-built InferencePool (persistent workers)
+        self._pool = None  # lazily-built InferencePool
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -389,7 +327,7 @@ class SushiRuntime:
     def _software_reference(self, network, spike_trains) -> np.ndarray:
         """Clean software raster (the corruption-detection oracle)."""
         steps, batch, _ = spike_trains.shape
-        current = spike_trains.reshape(steps * batch, -1)
+        current = spike_trains.reshape(steps * batch, network.in_features)
         for layer in network.layers:
             current = layer.forward(current)
         return current.reshape(steps, batch, network.out_features)
@@ -468,12 +406,20 @@ class SushiRuntime:
         spurious = 0
         synops = 0
         reloads = 0
+        attempts = 0
+        injections = 0
+        degraded = False
+        recovery: List[str] = []
         for b in range(batch):
             single = self.infer(network, spike_trains[:, b:b + 1, :])
             raster[:, b, :] = single.output_raster[:, 0, :]
             spurious += single.spurious_decisions
             synops += single.synaptic_ops
             reloads += single.reload_events
+            attempts += single.attempts
+            injections += single.fault_injections
+            degraded = degraded or single.degraded
+            recovery.extend(f"sample {b}: {line}" for line in single.recovery)
         rates = raster.mean(axis=0) if steps else raster.sum(axis=0)
         return RuntimeResult(
             rates=rates,
@@ -482,6 +428,10 @@ class SushiRuntime:
             spurious_decisions=spurious,
             synaptic_ops=synops,
             reload_events=reloads,
+            attempts=attempts,
+            degraded=degraded,
+            fault_injections=injections,
+            recovery=tuple(recovery),
         )
 
     # -- helpers ------------------------------------------------------------
@@ -541,20 +491,11 @@ class SushiRuntime:
     # -- fast engine ----------------------------------------------------------
 
     def _infer_fast(self, network, spike_trains) -> RuntimeResult:
-        capacity = 1 << self.sc_per_npe
         steps, batch, _ = spike_trains.shape
         rows = spike_trains.reshape(steps * batch, network.in_features)
-        if self.use_compiled:
-            compiled = self._compiled_for(network)
-            decisions, spurious, synops = self._dispatch_rows_compiled(
-                compiled, rows
-            )
-            reloads = compiled.reload_events * steps * batch
-        else:
-            decisions, spurious, synops = self._dispatch_rows(
-                network.layers, rows, capacity
-            )
-            reloads = self._plan_for(network).reload_events() * steps * batch
+        decisions, spurious, synops, reloads = self._forward_rows(
+            network, rows
+        )
         raster = decisions.reshape(steps, batch, network.out_features)
         rates = raster.mean(axis=0) if steps else raster.sum(axis=0)
         return RuntimeResult(
@@ -563,15 +504,24 @@ class SushiRuntime:
             output_raster=raster,
             spurious_decisions=spurious,
             synaptic_ops=synops,
-            reload_events=reloads,
+            reload_events=reloads * steps * batch,
         )
+
+    def _forward_rows(self, network, rows):
+        """The fast engine's row computation: ``rows -> (decisions,
+        spurious, synops, reloads per row)`` through the compiled
+        artifact, serially or on the worker pool."""
+        compiled = self._compiled_for(network)
+        decisions, spurious, synops = self._dispatch_rows_compiled(
+            compiled, rows
+        )
+        return decisions, spurious, synops, compiled.reload_events
 
     # Degrade-to-serial exception set: a missing/forbidden multiprocessing
     # stack (ImportError/OSError/PermissionError) and mid-run pool
-    # failures -- concurrent.futures' BrokenProcessPool and the
-    # RuntimeErrors raised by bad spawn contexts both derive from
-    # RuntimeError, as does InferencePoolError.  Sharding is by rows, so
-    # the serial fallback is bit-identical, only slower.
+    # failures -- the RuntimeErrors raised by bad spawn contexts and
+    # InferencePoolError both derive from RuntimeError.  Sharding is by
+    # rows, so the serial fallback is bit-identical, only slower.
     _POOL_FALLBACK_ERRORS = (
         ImportError, OSError, PermissionError, RuntimeError,
     )
@@ -584,19 +534,13 @@ class SushiRuntime:
         return 0
 
     def _dispatch_rows_compiled(self, compiled, rows):
-        """Serial, persistent-pool or one-shot-executor execution of the
-        row block through the compiled artifact."""
+        """Serial or pool execution of the row block through the
+        compiled artifact."""
         from repro.ssnn.pool import PoisonBatchError
 
-        workers = self._want_parallel(rows.shape[0])
-        if workers:
+        if self._want_parallel(rows.shape[0]):
             try:
-                if self.persistent_workers:
-                    return self._pool_for(compiled).infer_rows(rows)
-                return self._dispatch_rows_executor(
-                    _init_compiled_worker, (compiled,),
-                    _run_compiled_chunk, rows, workers,
-                )
+                return self._pool_for(compiled).infer_rows(rows)
             except PoisonBatchError:
                 # The pool quarantined this row block after it killed
                 # workers twice; the pool itself already healed, so
@@ -622,41 +566,6 @@ class SushiRuntime:
             pool = InferencePool(compiled, workers=self.max_workers)
             self._pool = pool
         return pool
-
-    def _dispatch_rows(self, layers, rows, capacity):
-        """Legacy-path execution of the row block (serial or one-shot
-        executor).  Sharding is by rows, which are independent, so worker
-        count never changes the results -- only the wall-clock time."""
-        workers = self._want_parallel(rows.shape[0])
-        if workers:
-            try:
-                return self._dispatch_rows_executor(
-                    _init_fast_worker,
-                    (list(layers), capacity, self.reorder),
-                    _run_fast_chunk, rows, workers,
-                )
-            except self._POOL_FALLBACK_ERRORS:
-                pass  # no usable process pool here; fall through to serial
-        return _fast_forward_rows(layers, rows, capacity, self.reorder)
-
-    @staticmethod
-    def _dispatch_rows_executor(initializer, initargs, fn, rows, workers):
-        """One-shot ``ProcessPoolExecutor`` dispatch.  The weights cross
-        the process boundary exactly once per worker (initializer), not
-        once per chunk as the interim implementation pickled them."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = np.array_split(rows, workers)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            parts = list(pool.map(fn, chunks))
-        decisions = np.concatenate([p[0] for p in parts], axis=0)
-        spurious = sum(p[1] for p in parts)
-        synops = sum(p[2] for p in parts)
-        return decisions, spurious, synops
 
     # -- behavioural engine ------------------------------------------------------
 

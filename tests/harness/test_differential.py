@@ -13,6 +13,7 @@ from repro.harness import (
 )
 from repro.harness.differential import ENGINES, EngineComparison, _compare
 from repro.harness.regression import MetricSnapshot, compare
+from repro.rsfq.faults import FaultModel
 from repro.ssnn.bucketing import required_capacity
 from repro.ssnn.runtime import RuntimeResult
 
@@ -65,6 +66,14 @@ class TestRunDifferential:
         assert set(report.results) == set(ENGINES)
         assert all(c.equivalent for c in report.comparisons)
         assert "EQUIVALENT" in report.summary()
+        # Empty blocks (no samples, no steps), clean and self-healing.
+        faults = FaultModel.single("pulse_drop", 0.3, seed=seed)
+        for empty in (trains[:, :0], trains[:0]):
+            for model in (None, faults):
+                report = run_differential(network, empty, faults=model)
+                assert report.passed, report.summary()
+                for result in report.results.values():
+                    assert result.output_raster.shape == empty.shape[:2] + (3,)
 
     def test_naive_order_differential(self):
         """reorder=False still batches exactly (fast vs per-sample)."""

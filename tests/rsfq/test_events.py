@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.rsfq.events import EventQueue, PulseEvent, SortedListQueue
+from repro.rsfq.events import EventQueue, PulseEvent
 
 
-@pytest.fixture(params=[EventQueue, SortedListQueue])
+@pytest.fixture(params=[EventQueue])
 def queue(request):
     return request.param()
 
@@ -56,16 +56,6 @@ class TestQueueProtocol:
         queue.push(1.0, "a", "din")
         queue.clear()
         assert len(queue) == 0
-
-    def test_backends_agree_on_order(self):
-        heap, sorted_q = EventQueue(), SortedListQueue()
-        schedule = [(5.0, "a"), (1.0, "b"), (5.0, "c"), (0.5, "d"), (1.0, "e")]
-        for t, name in schedule:
-            heap.push(t, name, "din")
-            sorted_q.push(t, name, "din")
-        heap_order = [heap.pop() for _ in range(len(schedule))]
-        sorted_order = [sorted_q.pop() for _ in range(len(schedule))]
-        assert heap_order == sorted_order
 
 
 class TestPulseEventMaterialisation:

@@ -4,7 +4,7 @@ Contract under test (see ``docs/FAULTS.md``): fault decisions come from
 deterministic per-site streams, so the same seeded model produces the
 same injections -- the same pulses dropped / duplicated / delayed, the
 same cells stuck or trapped, and the same canonical injection log --
-independent of the event-queue backend, the executor, and (via the
+in every fresh simulator, independent of the executor and (via the
 parallel tests) the partitioning.  The zero-fault configuration must stay
 on the engine's specialised fast path.
 """
@@ -227,7 +227,7 @@ class TestFaultSemantics:
 
 class TestDeterminism:
     @staticmethod
-    def faulty_run(queue_backend="heap", seed="det"):
+    def faulty_run(seed="det"):
         net, cells, probe = chain(n=10)
         model = FaultModel(
             [
@@ -237,16 +237,13 @@ class TestDeterminism:
             ],
             seed=seed,
         )
-        sim = Simulator(net, faults=model, queue_backend=queue_backend,
-                        trace=PulseTrace())
+        sim = Simulator(net, faults=model, trace=PulseTrace())
         drive(sim, cells[0], [i * 100.0 for i in range(16)])
         sim.run()
         return list(probe.times), sim.injection_log(), sim.fault_counts()
 
-    def test_identical_across_queue_backends(self):
-        heap = self.faulty_run("heap")
-        sorted_ = self.faulty_run("sorted")
-        assert heap == sorted_
+    def test_identical_across_fresh_simulators(self):
+        assert self.faulty_run() == self.faulty_run()
 
     def test_seed_changes_outcome(self):
         a = self.faulty_run(seed="a")
@@ -353,8 +350,8 @@ class TestGuards:
 
 class TestDeterminismProperty:
     """Property-based determinism: for arbitrary seeds and probabilities,
-    the heap and sorted queue backends observe the same injections, BER
-    proxy (probe times) and canonical log."""
+    two fresh simulators with the same seed observe the same injections,
+    BER proxy (probe times) and canonical log."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -362,18 +359,18 @@ class TestDeterminismProperty:
         p_dup=st.floats(min_value=0.0, max_value=0.6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_backends_agree_for_any_seed(self, seed, p_drop, p_dup):
-        def one(backend):
+    def test_fresh_simulators_agree_for_any_seed(self, seed, p_drop, p_dup):
+        def one():
             net, cells, probe = chain(n=6)
             model = FaultModel(
                 [FaultSpec("pulse_drop", p_drop),
                  FaultSpec("pulse_duplicate", p_dup, delay_ps=13.0)],
                 seed=seed,
             )
-            sim = Simulator(net, faults=model, queue_backend=backend)
+            sim = Simulator(net, faults=model)
             drive(sim, cells[0], [k * 120.0 for k in range(8)])
             sim.run()
             return tuple(probe.times), sim.injection_log(), \
                 sim.fault_counts()
 
-        assert one("heap") == one("sorted")
+        assert one() == one()

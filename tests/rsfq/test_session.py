@@ -1,4 +1,4 @@
-"""Tests for batched simulation: memoised elaboration, queue backends,
+"""Tests for batched simulation: memoised elaboration, the event heap,
 ``Simulator.run_batch`` and :class:`SimulationSession`."""
 
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.rsfq import (
     Netlist,
-    PulseTrace,
     SimulationSession,
     Simulator,
     library,
 )
-from repro.rsfq.events import QUEUE_BACKENDS, EventQueue, SortedListQueue
 
 
 def chain_netlist(n_jtl=3, delay=1.0):
@@ -59,50 +57,14 @@ class TestElaborationMemo:
         assert len(probe.times) == 1
 
 
-class TestQueueBackends:
-    def test_registry_contents(self):
-        assert QUEUE_BACKENDS["heap"] is EventQueue
-        assert QUEUE_BACKENDS["sorted"] is SortedListQueue
-
-    @pytest.mark.parametrize("backend", sorted(QUEUE_BACKENDS))
-    def test_backend_runs_chain(self, backend):
+class TestEventHeap:
+    def test_heap_runs_chain(self):
         net, cells, probe = chain_netlist(n_jtl=3, delay=2.0)
-        sim = Simulator(net, queue_backend=backend)
+        sim = Simulator(net)
         sim.schedule_input(cells[0], "din", 0.0)
         sim.run()
         expected = 3 * library.JTL.DELAY_PS + 3 * 2.0
         assert probe.times == [pytest.approx(expected)]
-
-    def test_backends_produce_identical_event_order(self):
-        """heap and sorted must agree event-for-event, including ties."""
-        traces = {}
-        for backend in ("heap", "sorted"):
-            net = Netlist("tie")
-            cb = net.add(library.CB("c"))
-            probe = net.add(library.Probe("p"))
-            net.connect(cb, "dout", probe, "din", delay=0.0)
-            trace = PulseTrace()
-            sim = Simulator(net, trace=trace, queue_backend=backend)
-            sim.schedule_input(cb, "dinA", 10.0)
-            sim.schedule_input(cb, "dinB", 10.0)
-            sim.schedule_input(cb, "dinA", 40.0)
-            sim.run()
-            traces[backend] = trace.events()
-        assert traces["heap"] == traces["sorted"]
-
-    def test_callable_backend_accepted(self):
-        net, cells, probe = chain_netlist(n_jtl=2)
-        sim = Simulator(net, queue_backend=SortedListQueue)
-        sim.schedule_input(cells[0], "din", 0.0)
-        sim.run()
-        assert len(probe.times) == 1
-
-    def test_unknown_backend_rejected(self):
-        net, _, _ = chain_netlist()
-        with pytest.raises(ConfigurationError) as exc:
-            Simulator(net, queue_backend="bogus")
-        assert "bogus" in str(exc.value)
-        assert "heap" in str(exc.value)
 
 
 class TestSimulatorRunBatch:
@@ -219,13 +181,3 @@ class TestSimulationSession:
         net, _, _ = chain_netlist()
         session = SimulationSession(net)
         assert session.stats.events_per_second == 0.0
-
-    def test_session_queue_backend_forwarded(self):
-        net, cells, probe = chain_netlist(n_jtl=2)
-        session = SimulationSession(net, queue_backend="sorted")
-        session.run([(cells[0], "din", 0.0)])
-        assert len(probe.times) == 1
-        with pytest.raises(ConfigurationError):
-            SimulationSession(net, queue_backend="bogus").run(
-                [(cells[0], "din", 0.0)]
-            )

@@ -1,7 +1,8 @@
 """Tests for the compile-once plan layer (:mod:`repro.ssnn.compile`).
 
 Covers the cache-key scheme (fingerprint sensitivity), the fused compiled
-kernel's bit-identity against the legacy per-run path, the folded static
+kernel's bit-identity against the differential harness's pre-compile
+reference kernel, the folded static
 statistics, the disk round trip, and the content-addressed
 :class:`PlanCache` (hit/miss accounting, corruption recovery, clearing,
 degrade on unwritable roots).
@@ -14,6 +15,7 @@ import pytest
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
+from repro.harness.differential import _ReferenceRuntime
 from repro.snn.binarize import BinarizedLayer, BinarizedNetwork
 from repro.ssnn import (
     CompiledNetwork,
@@ -81,9 +83,8 @@ class TestCompiledKernel:
         compiled = SushiRuntime(
             chip_n=CHIP_N, sc_per_npe=SC, reorder=reorder, plan_cache=None,
         ).infer(network, trains)
-        legacy = SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, reorder=reorder,
-            use_compiled=False, plan_cache=None,
+        legacy = _ReferenceRuntime(
+            chip_n=CHIP_N, sc_per_npe=SC, reorder=reorder, plan_cache=None,
         ).infer(network, trains)
         assert np.array_equal(compiled.output_raster, legacy.output_raster)
         assert np.array_equal(compiled.predictions, legacy.predictions)

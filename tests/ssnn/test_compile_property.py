@@ -5,10 +5,10 @@ For any random workload, chip reorder flag and execution engine -- with a
 runs over the compiled kernel too -- inference through a
 :class:`~repro.ssnn.compile.PlanCache` entry that was *loaded from disk*
 must equal inference through the freshly-compiled in-memory artifact and
-the legacy pre-compile kernel: identical decisions (rasters,
-predictions), spurious-decision counts and synaptic-operation totals.
-This is the satellite acceptance property of the compile-once pipeline
-(see docs/SERVING.md).
+the differential harness's pre-compile reference kernel: identical
+decisions (rasters, predictions), spurious-decision counts and
+synaptic-operation totals.  This is the satellite acceptance property of
+the compile-once pipeline (see docs/SERVING.md).
 """
 
 import tempfile
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.harness import random_binarized_network, random_spike_trains
+from repro.harness.differential import _ReferenceRuntime
 from repro.rsfq.faults import FaultModel
 from repro.ssnn import PlanCache, SushiRuntime
 
@@ -85,9 +86,9 @@ def test_cache_round_trip_is_bit_identical(seed, reorder, engine, faulted):
         if engine_kw == "fast":
             assert cold_cache.misses >= 1
             assert warm_cache.hits >= 1 and warm_cache.misses == 0
-    legacy = run(SushiRuntime(
+    legacy = run(_ReferenceRuntime(
         chip_n=CHIP_N, sc_per_npe=SC, engine=engine_kw, reorder=reorder,
-        use_compiled=False, plan_cache=None, faults=faults,
+        plan_cache=None, faults=faults,
     ))
     assert_identical(warm, cold)
     assert_identical(warm, legacy)

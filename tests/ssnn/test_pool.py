@@ -277,8 +277,7 @@ class TestRuntimeIntegration:
             chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None
         ).infer(network, trains)
         with SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2, plan_cache=None,
         ) as runtime:
             pooled = runtime.infer(network, trains)
             # The pool persists across calls on the same runtime.
@@ -309,8 +308,7 @@ class TestRuntimeIntegration:
                 raise PoisonBatchError("chaos: quarantined")
 
         runtime = SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2, plan_cache=None,
         )
         closes = []
         original_close = runtime.close
@@ -338,8 +336,7 @@ class TestRuntimeIntegration:
             chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None
         ).infer(network, trains)
         with SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2, plan_cache=None,
         ) as runtime:
             first = runtime.infer(network, trains)
             # Kill the pool workers behind the runtime's back.

@@ -175,3 +175,29 @@ class TestSelfHealing:
         assert r1.fault_injections == r2.fault_injections
         assert r1.recovery == r2.recovery
         assert np.array_equal(r1.output_raster, r2.output_raster)
+
+    def test_per_sample_keeps_the_healing_record(self):
+        rng = np.random.default_rng(5)
+        network = random_binarized_network(rng, (9, 7, 4), sc_per_npe=8)
+        trains = random_spike_trains(rng, 3, 6, 9)
+        runtime = runtime_with(
+            FaultModel.single("pulse_drop", 0.3, seed=3),
+            chip_n=4, plan_cache=None,
+        )
+        singles = [
+            runtime.infer(network, trains[:, b:b + 1]) for b in range(6)
+        ]
+        result = runtime.infer_per_sample(network, trains)
+        assert result.attempts == sum(s.attempts for s in singles)
+        assert result.fault_injections == sum(
+            s.fault_injections for s in singles
+        )
+        assert result.fault_injections > 0
+        assert result.degraded is True
+        assert result.recovery == tuple(
+            f"sample {b}: {line}"
+            for b, single in enumerate(singles)
+            for line in single.recovery
+        )
+        batched = runtime.infer(network, trains)
+        assert np.array_equal(result.output_raster, batched.output_raster)
