@@ -12,6 +12,11 @@ and the pool never recovers.
 ``infer_rows`` == ``CompiledNetwork.forward_rows`` contract, which is
 what lets ``test_supervision_overhead.py`` and ``bench_chaos.py`` pin
 equivalence alongside the steady-state overhead numbers.
+
+One deliberate deviation from the historical pool: its workers cap
+OpenBLAS threads with the supervised pool's own helper and formula
+(``max(1, usable cores // workers)``), so the overhead gate compares
+supervision cost and not BLAS thread configuration.
 """
 
 from __future__ import annotations
@@ -32,12 +37,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.ssnn.compile import CompiledNetwork  # noqa: E402
-from repro.ssnn.pool import InferencePoolError, _attach_shm  # noqa: E402
+from repro.ssnn.pool import (  # noqa: E402
+    InferencePoolError,
+    _attach_shm,
+    _blas_threads,
+    _worker_blas_threads,
+)
 
 
-def _legacy_worker_main(payload: bytes, tasks, results) -> None:
-    """Worker loop: deserialize the compiled plan once, then serve row
-    shards until the ``None`` sentinel arrives."""
+def _legacy_worker_main(
+    payload: bytes, tasks, results, blas_threads: int
+) -> None:
+    """Worker loop: apply the supervised pool's BLAS thread cap,
+    deserialize the compiled plan once, then serve row shards until the
+    ``None`` sentinel arrives."""
+    _blas_threads(cap=blas_threads)
     compiled: CompiledNetwork = pickle.loads(payload)
     while True:
         task = tasks.get()
@@ -133,7 +147,8 @@ class LegacyInferencePool:
         self._procs = [
             self._ctx.Process(
                 target=_legacy_worker_main,
-                args=(payload, self._tasks, self._results),
+                args=(payload, self._tasks, self._results,
+                      _worker_blas_threads(workers)),
                 daemon=True,
                 name=f"sushi-legacy-infer-{i}",
             )

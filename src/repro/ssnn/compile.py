@@ -298,11 +298,13 @@ class CompiledNetwork:
             pos = current @ layer.pos  # (batch, out), >= 0
             # Counter trajectory: preload -> +neg (monotone down) ->
             # +pos (monotone up); crossing counts telescope per bucket.
+            # Exact (capacity is a power of two): floor == floor_divide.
+            scale = layer.compute_dtype.type(1.0 / self.capacity)
             acc = neg
             acc += layer.preload
-            floor_q = np.floor_divide(acc, self.capacity)
+            floor_q = np.floor(acc * scale)
             acc += pos
-            final_q = np.floor_divide(acc, self.capacity)
+            final_q = np.floor(acc * scale)
             np.subtract(final_q, floor_q, out=final_q)
             np.abs(floor_q, out=floor_q)
             np.abs(final_q, out=final_q)
@@ -412,8 +414,10 @@ class CompiledNetwork:
     def load(cls, path: Union[str, Path]) -> "CompiledNetwork":
         """Load an artifact written by :meth:`save`.
 
-        Raises :class:`ConfigurationError` on schema mismatch or a
-        malformed file (the cache treats both as a miss)."""
+        Raises :class:`ConfigurationError` on schema mismatch, a capacity
+        other than ``2 ** sc_per_npe`` (the kernel's exact power-of-two
+        scaling relies on it) or a malformed file (the cache treats all
+        three as a miss)."""
         try:
             with np.load(Path(path), allow_pickle=False) as data:
                 meta = json.loads(str(data["meta"]))
@@ -423,6 +427,11 @@ class CompiledNetwork:
                         f"{SCHEMA_VERSION}"
                     )
                 capacity = int(meta["capacity"])
+                if capacity != 1 << int(meta["sc_per_npe"]):
+                    raise ConfigurationError(
+                        f"compiled-plan capacity {capacity} != 2 ** "
+                        f"sc_per_npe ({meta['sc_per_npe']})"
+                    )
                 layers = tuple(
                     _materialize_layer(
                         data[f"w{i}"], data[f"t{i}"],

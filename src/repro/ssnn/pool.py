@@ -17,6 +17,13 @@ for a serving workload that is pure overhead on the hot path.
 * **Scratch buffers persist.**  The input/output segments are
   preallocated and grown geometrically, so steady-state serving does no
   segment creation at all.
+* **Workers share the cores.**  numpy's bundled OpenBLAS starts one
+  thread per core in every process, so W workers would run W x cores
+  BLAS threads and spin against each other.  Each worker caps its
+  OpenBLAS at ``max(1, usable cores // W)`` threads before its first
+  task (measured effect: ``docs/SERVING.md``, "Workers and BLAS
+  threads").  Where no OpenBLAS with a thread API is loaded, workers
+  run as the BLAS configures itself.
 
 Row shards are independent, so worker count never changes results --
 :meth:`InferencePool.infer_rows` is bit-identical to
@@ -29,16 +36,19 @@ Supervision (see ``docs/SERVING.md`` -- "Failure semantics")
 SUSHI's own evaluation leans on surviving physical failure modes (JJ
 yield, flux trapping); the serving layer extends that discipline to
 *process-level* chaos.  Each worker owns a private task queue, so the
-parent always knows which shards a worker holds:
+parent always knows which shards a worker holds, and a private result
+pipe, so a worker killed mid-write breaks only its own channel (which
+its respawn replaces) and never a lock the other workers need:
 
 * **Resurrection.**  A dead worker (crash, OOM-kill, SIGKILL) is
   detected by liveness polling during the result wait; the parent
-  respawns it into the same slot (fresh queue, same pickled plan) and
-  re-dispatches *only the missing shards* to the surviving/respawned
-  workers.  Shard accounting is exactly-once per row block per epoch
-  (a ``completed`` map keyed by shard index), so recovered results --
-  and their spurious/synops counters -- are provably bit-identical to
-  a serial :meth:`CompiledNetwork.forward_rows` run.
+  respawns it into the same slot (fresh queue and pipe, same pickled
+  plan) and re-dispatches *only the missing shards* to the
+  surviving/respawned workers.  Shard accounting is exactly-once per
+  row block per epoch (a ``completed`` map keyed by shard index), so
+  recovered results -- and their spurious/synops counters -- are
+  provably bit-identical to a serial
+  :meth:`CompiledNetwork.forward_rows` run.
 * **Frozen workers.**  ``result_timeout_s`` is a *progress* deadline:
   if no shard lands within it, the workers still holding shards are
   force-killed (``SIGKILL`` -- a frozen/SIGSTOPped process ignores
@@ -58,7 +68,7 @@ parent always knows which shards a worker holds:
   whole block.
 * **Stale-task drain.**  When a call aborts mid-flight, its
   unaccounted tasks are drained from the worker queues (and the result
-  queue) before the next call reuses the segments; anything still
+  pipes) before the next call reuses the segments; anything still
   unaccounted after a short grace forces fresh segment names, so a
   recycled name can never be written by a zombie.
 
@@ -69,14 +79,15 @@ pre-supervision pool replica by ``benchmarks/test_supervision_overhead.py``.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import pickle
-import queue as queue_module
 import struct
 import threading
 import time
 import weakref
+from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,15 +155,76 @@ def _pack_guard(job: int, epoch: int) -> bytes:
     return struct.pack("<QQ", job & 0xFFFFFFFFFFFFFFFF, epoch)
 
 
-def _worker_main(slot, payload, tasks, results, chaos_hook=None) -> None:
-    """Worker loop: deserialize the compiled plan once, then serve row
-    shards from this slot's private queue until the ``None`` sentinel.
+def _worker_blas_threads(workers: int) -> int:
+    """BLAS threads per worker so ``workers`` workers share the usable
+    cores (this process's CPU affinity) instead of each starting one
+    thread per core."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // workers)
 
-    Results are ``(job, epoch, shard, spurious, synops, status, msg)``
+
+def _openblas_thread_api(path: str):
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS build at
+    ``path`` with their C signatures declared, or ``None``."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for pattern in ("scipy_openblas_{}64_", "scipy_openblas_{}",
+                    "openblas_{}64_", "openblas_{}"):
+        getter = getattr(lib, pattern.format("get_num_threads"), None)
+        setter = getattr(lib, pattern.format("set_num_threads"), None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+def _blas_threads(cap: Optional[int] = None) -> Optional[int]:
+    """Threads in force in the OpenBLAS libraries this process has
+    loaded, after capping every one of them at ``cap`` when given.
+
+    numpy's wheels bundle OpenBLAS (as ``scipy_openblas``), which runs
+    one thread per host core by default; ``/proc/self/maps`` names the
+    loaded libraries on Linux.  Returns the largest count in force, or
+    ``None`` -- having changed nothing -- when no OpenBLAS with a
+    thread-count API is loaded or the maps cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    in_force = None
+    for path in paths:
+        api = _openblas_thread_api(path)
+        if api is None:
+            continue
+        getter, setter = api
+        if cap is not None:
+            setter(cap)
+        in_force = max(in_force or 0, getter())
+    return in_force
+
+
+def _worker_main(slot, payload, tasks, results, blas_threads,
+                 chaos_hook=None) -> None:
+    """Worker loop: cap this process's BLAS threads at ``blas_threads``,
+    deserialize the compiled plan once, then serve row shards from this
+    slot's private queue until the ``None`` sentinel.
+
+    Results go to the parent over this worker's private pipe ``results``
+    as ``(job, epoch, shard, spurious, synops, status, msg)``
     with ``status`` one of ``"ok"`` (shard done), ``"shm"`` (segment
     vanished -- retryable), ``"stale"`` (epoch guard mismatch -- the
     task outlived its job) or ``"error"`` (execution failed).
     """
+    _blas_threads(cap=blas_threads)
     compiled: CompiledNetwork = pickle.loads(payload)
     while True:
         task = tasks.get()
@@ -166,13 +238,13 @@ def _worker_main(slot, payload, tasks, results, chaos_hook=None) -> None:
             try:
                 shm_in = _attach_shm(in_name)
             except FileNotFoundError:
-                results.put((job, epoch, shard, 0, 0, "shm",
-                             f"input segment {in_name} vanished"))
+                results.send((job, epoch, shard, 0, 0, "shm",
+                              f"input segment {in_name} vanished"))
                 continue
             try:
                 if bytes(shm_in.buf[:_HEADER]) != guard:
-                    results.put((job, epoch, shard, 0, 0, "stale",
-                                 "input epoch guard mismatch"))
+                    results.send((job, epoch, shard, 0, 0, "stale",
+                                  "input epoch guard mismatch"))
                     continue
                 rows = np.ndarray(
                     tuple(shape), dtype=np.float64,
@@ -185,16 +257,16 @@ def _worker_main(slot, payload, tasks, results, chaos_hook=None) -> None:
                 try:
                     shm_out = _attach_shm(out_name)
                 except FileNotFoundError:
-                    results.put((job, epoch, shard, 0, 0, "shm",
-                                 f"output segment {out_name} vanished"))
+                    results.send((job, epoch, shard, 0, 0, "shm",
+                                  f"output segment {out_name} vanished"))
                     continue
                 try:
                     # Re-validate immediately before the only externally
                     # visible write: a zombie task of an aborted job must
                     # never scribble into a successor's buffers.
                     if bytes(shm_in.buf[:_HEADER]) != guard:
-                        results.put((job, epoch, shard, 0, 0, "stale",
-                                     "input epoch guard changed mid-task"))
+                        results.send((job, epoch, shard, 0, 0, "stale",
+                                      "input epoch guard changed mid-task"))
                         continue
                     out = np.ndarray(
                         (shape[0], compiled.out_features),
@@ -207,19 +279,19 @@ def _worker_main(slot, payload, tasks, results, chaos_hook=None) -> None:
                     shm_out.close()
             finally:
                 shm_in.close()
-            results.put((job, epoch, shard, spurious, synops, "ok", None))
+            results.send((job, epoch, shard, spurious, synops, "ok", None))
         except Exception as exc:  # surface the traceback to the parent
             import traceback
 
-            results.put((job, epoch, shard, 0, 0, "error",
-                         f"{exc}\n{traceback.format_exc()}"))
+            results.send((job, epoch, shard, 0, 0, "error",
+                          f"{exc}\n{traceback.format_exc()}"))
 
 
-def _shutdown(procs, task_queues, segments) -> None:
-    """Finalizer-safe teardown: sentinel the workers, reap them, unlink
-    any surviving shared-memory segments.  ``procs`` / ``task_queues``
-    are mutated in place by respawns, so the finalizer always sees the
-    current generation."""
+def _shutdown(procs, task_queues, result_readers, segments) -> None:
+    """Finalizer-safe teardown: sentinel the workers, reap them, close
+    their result pipes, unlink any surviving shared-memory segments.
+    ``procs`` / ``task_queues`` / ``result_readers`` are mutated in place
+    by respawns, so the finalizer always sees the current generation."""
     for tasks in list(task_queues):
         try:
             tasks.put_nowait(None)
@@ -240,6 +312,9 @@ def _shutdown(procs, task_queues, segments) -> None:
             tasks.cancel_join_thread()
         except Exception:
             pass
+    for reader in list(result_readers):
+        if reader is not None:
+            reader.close()
     for shm in list(segments):
         if shm is None:
             continue
@@ -296,7 +371,6 @@ class InferencePool:
         self.workers = workers
         self.result_timeout_s = result_timeout_s
         self._ctx = mp.get_context(start_method)
-        self._results = self._ctx.Queue()
         self._lock = threading.Lock()
         self._jobs = itertools.count()
         self._segments: List = []  # [input shm, output shm] when allocated
@@ -306,34 +380,47 @@ class InferencePool:
         self._stale_tasks = 0
         self._rr = 0  # round-robin dispatch cursor
         self._chaos_hook = chaos_hook
+        self._blas_threads = _worker_blas_threads(workers)
         self._payload = pickle.dumps(
             compiled, protocol=pickle.HIGHEST_PROTOCOL
         )
         self._procs: List = []
         self._task_queues: List = []
-        for slot in range(workers):
-            proc, tasks = self._spawn(slot)
-            self._procs.append(proc)
-            self._task_queues.append(tasks)
+        self._result_readers: List = []  # None once a worker's pipe hit EOF
         # GC / interpreter-exit safety net; explicit close() is preferred.
         self._finalizer = weakref.finalize(
-            self, _shutdown, self._procs, self._task_queues, self._segments
+            self, _shutdown, self._procs, self._task_queues,
+            self._result_readers, self._segments,
         )
+        try:
+            for slot in range(workers):
+                proc, tasks, reader = self._spawn(slot)
+                self._procs.append(proc)
+                self._task_queues.append(tasks)
+                self._result_readers.append(reader)
+        except BaseException:
+            self._finalizer()  # reap the workers already started
+            raise
 
     # -- workers -------------------------------------------------------------
 
     def _spawn(self, slot: int):
-        """Start one worker into ``slot`` with a fresh private queue."""
+        """Start one worker into ``slot`` with a fresh private task queue
+        and result pipe; returns ``(process, tasks, result reader)``."""
         tasks = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot, self._payload, tasks, self._results,
-                  self._chaos_hook),
+            args=(slot, self._payload, tasks, writer,
+                  self._blas_threads, self._chaos_hook),
             daemon=True,
             name=f"sushi-infer-{slot}",
         )
         proc.start()
-        return proc, tasks
+        # The worker now holds the only write end, so its death reads as
+        # EOF and can never leave a lock held that other workers need.
+        writer.close()
+        return proc, tasks, reader
 
     def _respawn_locked(self, slot: int, force_kill: bool = False) -> List:
         """Replace the worker in ``slot`` (dead or presumed frozen) with
@@ -360,9 +447,14 @@ class InferencePool:
             old_queue.cancel_join_thread()
         except Exception:
             pass
-        proc, tasks = self._spawn(slot)
+        # Results the old worker sent but nobody read are dropped with its
+        # pipe; their shards are still missing, so they are re-dispatched.
+        if self._result_readers[slot] is not None:
+            self._result_readers[slot].close()
+        proc, tasks, reader = self._spawn(slot)
         self._procs[slot] = proc
         self._task_queues[slot] = tasks
+        self._result_readers[slot] = reader
         self._restarts += 1
         return drained
 
@@ -445,11 +537,8 @@ class InferencePool:
         # 2. Give in-flight zombies a short grace to report.
         deadline = time.monotonic() + 0.25
         while self._stale_tasks > 0 and time.monotonic() < deadline:
-            try:
-                self._results.get(timeout=0.05)
+            if self._next_result(0.05) is not None:
                 self._stale_tasks -= 1
-            except queue_module.Empty:
-                continue
         # 3. Anything still unaccounted for may be executing against the
         # current segments: retire them, so a zombie write can only land
         # in memory nothing will ever read again.
@@ -469,6 +558,26 @@ class InferencePool:
             ranges.append((start, end))
             start = end
         return ranges
+
+    def _next_result(self, timeout: float):
+        """The next result any worker sent, or ``None`` when none arrives
+        within ``timeout``.  A pipe at EOF (its worker died) is closed and
+        skipped until the liveness checks respawn that slot; the wait
+        goes on, so workers dying together are found in one check."""
+        deadline = time.monotonic() + timeout
+        while True:
+            readers = [r for r in self._result_readers if r is not None]
+            remaining = max(0.0, deadline - time.monotonic())
+            ready = connection_wait(readers, remaining)
+            for reader in ready:
+                try:
+                    return reader.recv()
+                except (EOFError, OSError):
+                    slot = self._result_readers.index(reader)
+                    self._result_readers[slot] = None
+                    reader.close()
+            if not ready or time.monotonic() >= deadline:
+                return None
 
     def _next_slot(self) -> int:
         slot = self._rr
@@ -582,10 +691,8 @@ class InferencePool:
         progress_deadline = time.monotonic() + self.result_timeout_s
         try:
             while len(completed) < len(shards):
-                try:
-                    (rjob, repoch, shard, spurious, synops, status,
-                     message) = self._results.get(timeout=0.05)
-                except queue_module.Empty:
+                result = self._next_result(0.05)
+                if result is None:
                     dead = [slot for slot, proc in enumerate(self._procs)
                             if not proc.is_alive()]
                     if dead:
@@ -603,6 +710,8 @@ class InferencePool:
                         time.monotonic() + self.result_timeout_s
                     )
                     continue
+                (rjob, repoch, shard, spurious, synops, status,
+                 message) = result
                 if rjob != job:
                     # Leftover of an aborted earlier call.
                     self._stale_tasks = max(0, self._stale_tasks - 1)

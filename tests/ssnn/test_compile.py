@@ -9,6 +9,7 @@ degrade on unwritable roots).
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +33,13 @@ CHIP_N = 4
 SC = 8
 
 
-def make_workload(seed=0, sizes=(10, 8, 5), steps=3, batch=6):
+def make_workload(
+    seed=0, sizes=(10, 8, 5), steps=3, batch=6, sc_per_npe=SC
+):
     rng = np.random.default_rng(seed)
-    network = random_binarized_network(rng, sizes=sizes, sc_per_npe=SC)
+    network = random_binarized_network(
+        rng, sizes=sizes, sc_per_npe=sc_per_npe
+    )
     trains = random_spike_trains(rng, steps, batch, sizes[0])
     return network, trains
 
@@ -78,13 +83,23 @@ class TestFingerprint:
 
 class TestCompiledKernel:
     @pytest.mark.parametrize("reorder", [True, False])
-    def test_bit_identical_to_legacy_runtime(self, reorder):
-        network, trains = make_workload(seed=3)
+    @pytest.mark.parametrize("sc_per_npe", [3, SC, 24])
+    def test_bit_identical_to_legacy_runtime(self, sc_per_npe, reorder):
+        # 3 and 8 SCs compute in float32, 24 in float64; capacity 8 puts
+        # counters on exact multiples of the capacity often.
+        network, trains = make_workload(seed=3, sc_per_npe=sc_per_npe)
+        want_dtype = np.float64 if sc_per_npe == 24 else np.float32
+        assert all(
+            l.compute_dtype == want_dtype for l in
+            compile_network(network, CHIP_N, sc_per_npe, reorder).layers
+        )
         compiled = SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, reorder=reorder, plan_cache=None,
+            chip_n=CHIP_N, sc_per_npe=sc_per_npe, reorder=reorder,
+            plan_cache=None,
         ).infer(network, trains)
         legacy = _ReferenceRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, reorder=reorder, plan_cache=None,
+            chip_n=CHIP_N, sc_per_npe=sc_per_npe, reorder=reorder,
+            plan_cache=None,
         ).infer(network, trains)
         assert np.array_equal(compiled.output_raster, legacy.output_raster)
         assert np.array_equal(compiled.predictions, legacy.predictions)
@@ -174,6 +189,22 @@ class TestDiskRoundTrip:
         path.write_bytes(b"not a zip at all")
         with pytest.raises(ConfigurationError):
             CompiledNetwork.load(path)
+
+    def test_load_rejects_tampered_capacity(self, tmp_path):
+        # The kernel scales by 1 / capacity, exact only for 2 ** sc_per_npe:
+        # an artifact claiming any other capacity is refused, and the
+        # cache recompiles over it.
+        network, _ = make_workload(seed=16)
+        cache = PlanCache(root=tmp_path)
+        compiled = cache.get_or_compile(network, CHIP_N, SC)
+        path = cache.path_for(compiled.fingerprint)
+        replace(compiled, capacity=compiled.capacity + 1).save(path)
+        with pytest.raises(ConfigurationError):
+            CompiledNetwork.load(path)
+        again = cache.get_or_compile(network, CHIP_N, SC)
+        assert cache.misses == 2 and cache.hits == 0
+        assert again.capacity == 1 << SC
+        assert CompiledNetwork.load(path).capacity == 1 << SC
 
     def test_load_rejects_stale_schema(self, tmp_path, monkeypatch):
         network, _ = make_workload(seed=9)

@@ -8,7 +8,10 @@ freezes, poison quarantine), which must never change an answer, only
 the wall-clock and the ``restarts`` counter.
 """
 
+import multiprocessing
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.ssnn import (
     SushiRuntime,
     compile_network,
 )
+from repro.ssnn.pool import _blas_threads
 
 CHIP_N = 4
 SC = 8
@@ -40,6 +44,19 @@ def compiled():
 def rows_for(compiled, n, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.random((n, compiled.in_features)) < 0.4).astype(np.float64)
+
+
+class BlasThreadsHook:
+    """Chaos hook writing the BLAS threads in force in each worker to
+    ``<directory>/slot-<slot>``."""
+
+    def __init__(self, directory: str):
+        self.directory = directory
+
+    def __call__(self, slot, job, epoch, shard, in_name, out_name):
+        Path(self.directory, f"slot-{slot}").write_text(
+            str(_blas_threads())
+        )
 
 
 class TestShards:
@@ -162,6 +179,34 @@ class TestPoolLifecycle:
         else:  # close() won: the call failed loudly, never silently
             assert isinstance(results["error"], InferencePoolError)
 
+    def test_failed_construction_reaps_started_workers(
+        self, compiled, monkeypatch
+    ):
+        """A spawn failing part-way through construction must not leave
+        the workers already started running (the runtime rebuilds its
+        pool on every call after a failure, so each leak would repeat)."""
+        spawn = InferencePool._spawn
+
+        def spawn_fails_for_slot_1(pool, slot):
+            if slot == 1:
+                raise OSError("chaos: cannot start worker 1")
+            return spawn(pool, slot)
+
+        monkeypatch.setattr(InferencePool, "_spawn", spawn_fails_for_slot_1)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(OSError):
+            InferencePool(compiled, workers=2)
+        started = [proc for proc in multiprocessing.active_children()
+                   if proc not in before]
+        try:
+            for proc in started:
+                proc.join(timeout=5.0)
+            assert [proc.name for proc in started if proc.is_alive()] == []
+        finally:
+            for proc in started:
+                proc.kill()
+                proc.join(timeout=5.0)
+
     def test_validates_construction(self, compiled):
         with pytest.raises(ConfigurationError):
             InferencePool(compiled, workers=0)
@@ -172,6 +217,26 @@ class TestPoolLifecycle:
         with InferencePool(compiled, workers=1) as pool:
             assert compiled.fingerprint[:12] in repr(pool)
         assert "closed" in repr(pool)
+
+
+class TestPoolBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_run_with_the_blas_cap(
+        self, compiled, tmp_path, workers
+    ):
+        """Each worker caps OpenBLAS so the workers share the usable
+        cores; the parent's own BLAS threads stay as they were."""
+        parent_threads = _blas_threads()
+        if parent_threads is None:
+            pytest.skip("no OpenBLAS with a thread-count API is loaded")
+        hook = BlasThreadsHook(str(tmp_path))
+        with InferencePool(compiled, workers=workers, chaos_hook=hook) as pool:
+            pool.infer_rows(rows_for(compiled, 3 * workers))
+        want = max(1, len(os.sched_getaffinity(0)) // workers)
+        seen = {path.name: int(path.read_text())
+                for path in tmp_path.iterdir()}
+        assert seen == {f"slot-{slot}": want for slot in range(workers)}
+        assert _blas_threads() == parent_threads
 
 
 class TestPoolSupervision:
@@ -235,6 +300,30 @@ class TestPoolSupervision:
             assert np.array_equal(got[0], want[0])
             assert got[1:] == want[1:]
             assert pool.alive_workers() == 2
+
+    def test_workers_killed_after_replying_never_wedge_the_pool(
+        self, compiled
+    ):
+        """Stress: SIGKILL every worker right after each call.  A worker
+        may die before it has released what carried its reply; with a
+        result channel per worker that blocks no other worker, so every
+        next call respawns the workers and answers bit-identically
+        instead of waiting out two progress deadlines and ending as
+        PoisonBatchError."""
+        rows = rows_for(compiled, 8, seed=44)
+        want = compiled.forward_rows(rows)
+        with InferencePool(
+            compiled, workers=2, result_timeout_s=5.0
+        ) as pool:
+            for _ in range(25):
+                got = pool.infer_rows(rows)
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+                for proc in pool._procs:
+                    proc.kill()
+                for proc in pool._procs:
+                    proc.join(timeout=5.0)
+            assert pool.restarts == 2 * 24  # both, before calls 2..25
 
     @settings(
         max_examples=8,
