@@ -40,8 +40,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.explore import (  # noqa: E402
+    GLOBAL_EXPLORE_COUNTERS,
     ExploreConfig,
-    ExploreCounters,
     pinned_digest,
     pinned_view,
     run_explore,
@@ -54,7 +54,7 @@ WORKERS = 2
 
 
 def _timed_sweep(config: ExploreConfig, cache: PlanCache):
-    counters = ExploreCounters()
+    counters = GLOBAL_EXPLORE_COUNTERS.fresh()
     start = time.perf_counter()
     report = run_explore(config, plan_cache=cache, counters=counters)
     elapsed = time.perf_counter() - start

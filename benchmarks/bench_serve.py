@@ -92,6 +92,10 @@ def measure(trials: int = TRIALS) -> dict:
         pool_dec, pool_spur, pool_syn = pool.infer_rows(rows)
 
         # -- wall clock (informational) ----------------------------------
+        # The pool arm runs first: right after a serial arm this
+        # process's BLAS threads still spin and take CPU from the
+        # workers.
+        t_compiled_pool = _best(lambda: pool.infer_rows(rows), trials)
         t_legacy_serial = _best(
             lambda: legacy_forward_rows(network.layers, rows, capacity),
             trials,
@@ -105,7 +109,6 @@ def measure(trials: int = TRIALS) -> dict:
         t_compiled_serial = _best(
             lambda: compiled.forward_rows(rows), trials
         )
-        t_compiled_pool = _best(lambda: pool.infer_rows(rows), trials)
 
     # -- plan cache cold/warm (hit flags pinned, times informational) ----
     with tempfile.TemporaryDirectory() as root:

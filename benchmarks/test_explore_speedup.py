@@ -22,8 +22,8 @@ from pathlib import Path
 
 from conftest import emit
 from repro.explore import (
+    GLOBAL_EXPLORE_COUNTERS,
     ExploreConfig,
-    ExploreCounters,
     pinned_digest,
     pinned_view,
     run_explore,
@@ -36,7 +36,7 @@ BASELINE = Path(__file__).resolve().parent / "BENCH_explore.json"
 
 
 def _sweep(config, cache):
-    counters = ExploreCounters()
+    counters = GLOBAL_EXPLORE_COUNTERS.fresh()
     start = time.perf_counter()
     report = run_explore(config, plan_cache=cache, counters=counters)
     return report, counters.snapshot(), time.perf_counter() - start

@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.cluster.node import ACTIVE, DEAD, NodeUnavailableError, PoolNode
 from repro.cluster.ring import ConsistentHashRing
-from repro.serve.metrics import MetricFamily
+from repro.obs import MetricFamily
 from repro.ssnn.compile import CompiledNetwork
 
 CLUSTER_SCHEMA = "repro.cluster/v1"
@@ -321,13 +321,12 @@ class ClusterRouter:
             "per_node": per_node,
         }
 
-    def metric_families(self, namespace: str = "sushi") -> List[MetricFamily]:
+    def metric_families(self) -> List[MetricFamily]:
         """Cluster gauges/counters for Prometheus text exposition --
         appended to the gateway's ``/metrics`` (see docs/CLUSTER.md)."""
         from repro.serve.metrics import BREAKER_STATES
 
         snap = self.stats()
-        n = namespace
         state_samples = [
             ({"state": state}, snap["node_states"].get(state, 0))
             for state in (ACTIVE, "draining", "retired", DEAD)
@@ -349,48 +348,48 @@ class ClusterRouter:
                                      entry["dispatches"]))
         counters = snap["counters"]
         return [
-            (f"{n}_cluster_nodes", "gauge",
+            ("sushi_cluster_nodes", "gauge",
              "Cluster nodes by lifecycle state", state_samples),
-            (f"{n}_cluster_nodes_routable", "gauge",
+            ("sushi_cluster_nodes_routable", "gauge",
              "Nodes currently accepting dispatches",
              [(None, snap["nodes_routable"])]),
-            (f"{n}_cluster_node_breaker_state", "gauge",
+            ("sushi_cluster_node_breaker_state", "gauge",
              "Per-node circuit breaker state (one-hot)",
              breaker_samples or [(None, 0)]),
-            (f"{n}_cluster_node_workers_alive", "gauge",
+            ("sushi_cluster_node_workers_alive", "gauge",
              "Per-node live pool workers",
              workers_samples or [(None, 0)]),
-            (f"{n}_cluster_node_inflight", "gauge",
+            ("sushi_cluster_node_inflight", "gauge",
              "Per-node row blocks executing now",
              inflight_samples or [(None, 0)]),
-            (f"{n}_cluster_node_dispatches_total", "counter",
+            ("sushi_cluster_node_dispatches_total", "counter",
              "Per-node row blocks dispatched",
              dispatch_samples or [(None, 0)]),
-            (f"{n}_cluster_dispatches_total", "counter",
+            ("sushi_cluster_dispatches_total", "counter",
              "Row blocks dispatched through the router",
              [(None, counters["dispatches"])]),
-            (f"{n}_cluster_affinity_hits_total", "counter",
+            ("sushi_cluster_affinity_hits_total", "counter",
              "Dispatches served by the consistent-hash owner",
              [(None, counters["affinity_hits"])]),
-            (f"{n}_cluster_fallbacks_total", "counter",
+            ("sushi_cluster_fallbacks_total", "counter",
              "Dispatches routed around an unhealthy affinity owner",
              [(None, counters["fallbacks"])]),
-            (f"{n}_cluster_retries_total", "counter",
+            ("sushi_cluster_retries_total", "counter",
              "Requests re-dispatched after a node failed mid-call",
              [(None, counters["retries"])]),
-            (f"{n}_cluster_serial_fallbacks_total", "counter",
+            ("sushi_cluster_serial_fallbacks_total", "counter",
              "Row blocks answered serially by the router itself",
              [(None, counters["serial_fallbacks"])]),
-            (f"{n}_cluster_rebalances_total", "counter",
+            ("sushi_cluster_rebalances_total", "counter",
              "Consistent-hash ring membership changes",
              [(None, counters["rebalances"])]),
-            (f"{n}_cluster_evictions_total", "counter",
+            ("sushi_cluster_evictions_total", "counter",
              "Dead nodes removed from rotation",
              [(None, counters["evictions"])]),
-            (f"{n}_cluster_quarantines_total", "counter",
+            ("sushi_cluster_quarantines_total", "counter",
              "Partitioned nodes taken out of the ring",
              [(None, counters["quarantines"])]),
-            (f"{n}_cluster_rejoins_total", "counter",
+            ("sushi_cluster_rejoins_total", "counter",
              "Healed nodes re-inserted into the ring",
              [(None, counters["rejoins"])]),
         ]

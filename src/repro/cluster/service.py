@@ -15,9 +15,9 @@ stack scaled out with zero gateway changes:
 * :meth:`health` grows a ``"cluster"`` section (router counters,
   per-node states) and, when autoscaling is on, an ``"autoscaler"``
   section with the decision trajectory.
-* :meth:`cluster_families` exposes the cluster-wide Prometheus gauges
-  (nodes by state, per-node breaker one-hot, rebalance count); the
-  gateway appends them to ``/metrics`` by duck-typing this hook.
+* :meth:`metric_families` adds the cluster-wide Prometheus families
+  (nodes by state, per-node breaker one-hot, rebalance count) to the
+  server's, so the gateway's ``/metrics`` shows them unchanged.
 
 A background supervisor thread (``supervise_interval_s``) runs the
 router's health sweep -- quarantining partitioned nodes, rejoining
@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.node import PoolNode
 from repro.cluster.router import ClusterRouter
-from repro.serve.metrics import MetricFamily
+from repro.obs import MetricFamily
 from repro.serve.server import InferenceServer
 
 
@@ -190,17 +190,16 @@ class ClusterServer(InferenceServer):
             health["autoscaler"] = self.autoscaler.stats()
         return health
 
-    def cluster_families(self, namespace: str = "sushi"
-                         ) -> List[MetricFamily]:
-        """Cluster-wide metric families -- the gateway appends these to
-        ``/metrics`` when its backend exposes this hook."""
-        families = self.router.metric_families(namespace)
+    def metric_families(self) -> List[MetricFamily]:
+        """The server families plus the router's cluster-wide ones, and
+        the autoscaler's action counters when autoscaling is on."""
+        families = super().metric_families() + self.router.metric_families()
         if self.autoscaler is not None:
             families.extend([
-                (f"{namespace}_cluster_scale_ups_total", "counter",
+                ("sushi_cluster_scale_ups_total", "counter",
                  "Autoscaler scale-up actions",
                  [(None, self.autoscaler.scale_ups)]),
-                (f"{namespace}_cluster_scale_downs_total", "counter",
+                ("sushi_cluster_scale_downs_total", "counter",
                  "Autoscaler scale-down actions",
                  [(None, self.autoscaler.scale_downs)]),
             ])

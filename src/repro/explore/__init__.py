@@ -29,12 +29,10 @@ from repro.explore.grid import (
 from repro.explore.pareto import PARETO_AXES, dominates, pareto_frontier
 from repro.explore.driver import (
     ExploreConfig,
-    ExploreCounters,
     ExploreWorkload,
     GLOBAL_EXPLORE_COUNTERS,
     build_workload,
     evaluate_point,
-    explore_counter_families,
     pinned_digest,
     pinned_view,
     render_report,
@@ -48,7 +46,6 @@ __all__ = [
     "EstimateContext",
     "Estimator",
     "ExploreConfig",
-    "ExploreCounters",
     "ExploreGrid",
     "ExplorePoint",
     "ExploreWorkload",
@@ -58,7 +55,6 @@ __all__ = [
     "build_workload",
     "dominates",
     "evaluate_point",
-    "explore_counter_families",
     "get_estimator",
     "memory_technologies",
     "pareto_frontier",

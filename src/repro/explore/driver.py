@@ -44,7 +44,6 @@ import hashlib
 import io
 import json
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -75,6 +74,7 @@ from repro.harness.differential import (
     random_spike_trains,
 )
 from repro.harness.reporting import format_table
+from repro.obs import Counters
 from repro.snn.binarize import BinarizedNetwork
 from repro.ssnn.compile import (
     PlanCache,
@@ -85,9 +85,7 @@ from repro.ssnn.compile import (
 __all__ = [
     "ExploreConfig",
     "ExploreWorkload",
-    "ExploreCounters",
     "GLOBAL_EXPLORE_COUNTERS",
-    "explore_counter_families",
     "build_workload",
     "evaluate_point",
     "run_explore",
@@ -99,42 +97,10 @@ __all__ = [
 
 # -- sweep counters ----------------------------------------------------------
 
-
-class ExploreCounters:
-    """Thread-safe sweep counters (Prometheus-exported).
-
-    One process-wide instance (:data:`GLOBAL_EXPLORE_COUNTERS`)
-    aggregates across every sweep, mirroring the
-    :class:`~repro.rsfq.trace.TraceCounters` idiom.
-    """
-
-    FIELDS = ("sweeps", "points_requested", "points_evaluated",
-              "point_cache_hits", "point_cache_misses",
-              "infeasible_points", "trace_probe_replays",
-              "trace_probe_fallbacks")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {name: 0 for name in self.FIELDS}
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += n
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self.FIELDS:
-                self._counts[name] = 0
-
-
-#: Process-wide totals scraped by the gateway ``/metrics`` endpoint.
-GLOBAL_EXPLORE_COUNTERS = ExploreCounters()
-
-_COUNTER_HELP = {
+#: Process-wide sweep totals, scraped by the gateway ``/metrics``
+#: endpoint as ``sushi_explore_*``.  Pass ``.fresh()`` to
+#: :func:`run_explore` to count one sweep on its own.
+GLOBAL_EXPLORE_COUNTERS = Counters("sushi_explore", {
     "sweeps": "Design-space sweeps executed",
     "points_requested": "Grid points requested across all sweeps",
     "points_evaluated": "Grid points evaluated (cache misses)",
@@ -144,20 +110,7 @@ _COUNTER_HELP = {
     "trace_probe_replays": "Mesh latency probes served by trace replay",
     "trace_probe_fallbacks":
         "Mesh latency probes that fell back to the event engine",
-}
-
-
-def explore_counter_families(counters: Optional[ExploreCounters] = None,
-                             namespace: str = "sushi"):
-    """The explorer counters as Prometheus metric families (the shape
-    :func:`repro.serve.metrics.render_prometheus` consumes)."""
-    snap = (GLOBAL_EXPLORE_COUNTERS if counters is None else counters
-            ).snapshot()
-    return [
-        (f"{namespace}_explore_{name}_total", "counter",
-         _COUNTER_HELP[name], [(None, snap[name])])
-        for name in ExploreCounters.FIELDS
-    ]
+})
 
 
 # -- configuration and workload ----------------------------------------------
@@ -466,7 +419,7 @@ def measure_probe_latencies(
     npe_counts: Sequence[int],
     plan_cache: Optional[PlanCache],
     n_pulses: int,
-    counters: ExploreCounters,
+    counters: Counters,
 ) -> Dict[int, float]:
     """Measured far-end latency (ps) of an ``npe_count``-stage JTL line
     per unique NPE count, through the traced engine: recorded once,
@@ -484,8 +437,8 @@ def measure_probe_latencies(
             float(probe.times[0]) if probe.times
             else float(episode.final_time_ps), 4
         )
-        counters.bump("trace_probe_replays", engine.stats["replays"])
-        counters.bump("trace_probe_fallbacks", engine.stats["fallbacks"])
+        counters.inc("trace_probe_replays", engine.stats["replays"])
+        counters.inc("trace_probe_fallbacks", engine.stats["fallbacks"])
     return latencies
 
 
@@ -562,7 +515,7 @@ def _evaluate_pending(
 def run_explore(
     config: ExploreConfig = ExploreConfig(),
     plan_cache: Union[str, PlanCache, None] = None,
-    counters: Optional[ExploreCounters] = None,
+    counters: Optional[Counters] = None,
 ) -> dict:
     """Run one sweep and return the ``repro.explore/v1`` report.
 
@@ -575,8 +528,8 @@ def run_explore(
     started = time.monotonic()
     workload = build_workload(config)
     points = config.grid.points()
-    counters.bump("sweeps")
-    counters.bump("points_requested", len(points))
+    counters.inc("sweeps")
+    counters.inc("points_requested", len(points))
 
     probe_latencies = measure_probe_latencies(
         [p.npe_count for p in points], cache, config.probe_pulses,
@@ -597,15 +550,15 @@ def run_explore(
                   if cache is not None else None)
         if cached is not None:
             rows[point.key] = cached
-            counters.bump("point_cache_hits")
+            counters.inc("point_cache_hits")
         else:
             pending.append(point)
             if cache is not None:
-                counters.bump("point_cache_misses")
+                counters.inc("point_cache_misses")
     cache_hits = len(points) - len(pending)
 
     evaluated = _evaluate_pending(pending, workload, config, cache)
-    counters.bump("points_evaluated", len(evaluated))
+    counters.inc("points_evaluated", len(evaluated))
     for key, row in evaluated.items():
         rows[key] = row
         if cache is not None:
@@ -619,9 +572,9 @@ def run_explore(
         ]
         ordered.append(row)
     infeasible = sum(1 for row in ordered if not row["feasible"])
-    counters.bump("infeasible_points",
-                  sum(1 for p in pending
-                      if not rows[p.key]["feasible"]))
+    counters.inc("infeasible_points",
+                 sum(1 for p in pending
+                     if not rows[p.key]["feasible"]))
     frontier = pareto_frontier(ordered)
 
     return {

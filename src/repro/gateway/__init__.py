@@ -5,7 +5,7 @@ This package turns the in-process :class:`~repro.serve.InferenceServer`
 into a deployable service using only the standard library: no web
 framework, no HTTP client dependency, no metrics client -- asyncio
 streams, hand-rolled HTTP/1.1, and Prometheus text exposition written
-by :mod:`repro.serve.metrics`.
+by :mod:`repro.obs`.
 
 Layers (each its own module, composable and individually testable):
 
@@ -53,7 +53,7 @@ from repro.gateway.ratelimit import (
     RateLimiter,
     TokenBucket,
 )
-from repro.gateway.server import Gateway, GatewayMetrics, IdempotencyLedger
+from repro.gateway.server import Gateway, IdempotencyLedger
 
 __all__ = [
     "AdmissionController",
@@ -62,7 +62,6 @@ __all__ = [
     "ERROR_CODES",
     "Gateway",
     "GatewayClient",
-    "GatewayMetrics",
     "GLOBAL_CLIENT_COUNTERS",
     "IDEMPOTENCY_KEY_HEADER",
     "IdempotencyLedger",

@@ -55,43 +55,27 @@ from repro.errors import (
     TransportError,
 )
 from repro.gateway.protocol import IDEMPOTENCY_KEY_HEADER, REPLAY_HEADER
-
-#: Counter fields every client tracks (and mirrors globally).
-CLIENT_COUNTER_FIELDS = (
-    "requests",             # infer() calls
-    "attempts",             # wire attempts (first sends + retries + hedges)
-    "retries",              # re-sends after a transport failure
-    "hedges",               # duplicate requests fired after hedge_after_ms
-    "hedge_wins",           # hedged duplicate answered first
-    "timeouts",             # attempts that died waiting on the socket
-    "conn_errors",          # attempts that died on reset/refused/EOF
-    "replays",              # responses marked X-Idempotent-Replay
-    "deadline_exceeded",    # requests abandoned: client deadline spent
-    "budget_exhausted",     # retries refused: lifetime budget dry
-    "connections_opened",   # fresh TCP connections dialled
-    "connections_reused",   # requests served off a pooled connection
-)
-
-
-class ClientCounters:
-    """Thread-safe monotonically-increasing client counters."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {name: 0 for name in CLIENT_COUNTER_FIELDS}
-
-    def record(self, field_name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[field_name] += n
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
+from repro.obs import Counters
 
 #: Process-wide roll-up of every GatewayClient in this process --
 #: exported on the gateway's ``/metrics`` as ``sushi_client_*``.
-GLOBAL_CLIENT_COUNTERS = ClientCounters()
+GLOBAL_CLIENT_COUNTERS = Counters("sushi_client", {
+    "requests": "Client requests issued",
+    "attempts": "Wire attempts (first sends + retries + hedges)",
+    "retries": "Attempts re-sent after a transport failure",
+    "hedges": "Duplicate requests fired after the hedge threshold",
+    "hedge_wins": "Hedged duplicates that answered first",
+    "timeouts": "Attempts that timed out on the socket",
+    "conn_errors": "Attempts that died on reset/refused/EOF",
+    "replays": "Responses served from the server idempotency ledger",
+    "deadline_exceeded": "Requests abandoned after the client deadline",
+    "budget_exhausted": "Retries refused by the lifetime retry budget",
+    "connections_opened": "Fresh TCP connections dialled",
+    "connections_reused": "Requests served off a pooled connection",
+})
+
+#: Counter fields every client tracks (and mirrors globally).
+CLIENT_COUNTER_FIELDS = tuple(GLOBAL_CLIENT_COUNTERS.help)
 
 
 @dataclass(frozen=True)
@@ -255,7 +239,7 @@ class GatewayClient:
         self.keep_alive = keep_alive
         self.pool_size = pool_size
         self.seed = int(seed)
-        self.counters = ClientCounters()
+        self.counters = GLOBAL_CLIENT_COUNTERS.fresh()
         self._rng = random.Random(self.seed * 9176 + 29)
         self._lock = threading.Lock()
         self._pool: List[_Connection] = []
@@ -286,8 +270,8 @@ class GatewayClient:
     # -- internals -----------------------------------------------------------
 
     def _count(self, field_name: str, n: int = 1) -> None:
-        self.counters.record(field_name, n)
-        GLOBAL_CLIENT_COUNTERS.record(field_name, n)
+        self.counters.inc(field_name, n)
+        GLOBAL_CLIENT_COUNTERS.inc(field_name, n)
 
     def _next_idempotency_key(self) -> str:
         with self._lock:

@@ -55,10 +55,11 @@ import math
 import queue as queue_module
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.gateway.auth import ApiKeyAuthenticator, demo_tenants
+from repro.gateway.client import GLOBAL_CLIENT_COUNTERS
 from repro.gateway.protocol import (
     DEFAULT_MAX_BODY_BYTES,
     IDEMPOTENCY_KEY_HEADER,
@@ -73,13 +74,7 @@ from repro.gateway.protocol import (
     render_response,
 )
 from repro.gateway.ratelimit import AdmissionController, RateLimiter
-from repro.serve.metrics import (
-    MetricFamily,
-    client_counter_families,
-    render_prometheus,
-    server_stats_families,
-    shed_families,
-)
+from repro.obs import Counters, render_prometheus
 
 GATEWAY_SCHEMA = "repro.gateway/v1"
 
@@ -91,104 +86,6 @@ ROUTES = {
     "/metrics": ("GET",),
     "/drain": ("POST",),
 }
-
-
-class GatewayMetrics:
-    """Thread-safe HTTP-layer counters behind ``/metrics``.
-
-    ``requests`` counts by ``(path, status)``; ``rejections`` counts by
-    typed error code (the load-shedding story); ``tenant_requests``
-    counts authenticated ``/infer`` calls by ``(tenant, status)`` so
-    per-tenant skew is observable.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.requests: Dict[Tuple[str, int], int] = {}
-        self.rejections: Dict[str, int] = {}
-        self.tenant_requests: Dict[Tuple[str, int], int] = {}
-        self.sheds: Dict[Tuple[str, int], int] = {}
-        self.idempotent_replays: Dict[str, int] = {}
-        self.connections = 0
-        self.in_flight = 0
-
-    def record(self, path: str, status: int,
-               code: Optional[str] = None,
-               tenant: Optional[str] = None) -> None:
-        key = (path if path in ROUTES else "other", status)
-        with self._lock:
-            self.requests[key] = self.requests.get(key, 0) + 1
-            if code is not None and status >= 400:
-                self.rejections[code] = self.rejections.get(code, 0) + 1
-            if tenant is not None:
-                tkey = (tenant, status)
-                self.tenant_requests[tkey] = (
-                    self.tenant_requests.get(tkey, 0) + 1
-                )
-
-    def record_connection(self) -> None:
-        with self._lock:
-            self.connections += 1
-
-    def record_shed(self, code: str, priority: int) -> None:
-        key = (code, int(priority))
-        with self._lock:
-            self.sheds[key] = self.sheds.get(key, 0) + 1
-
-    def record_replay(self, tenant: str) -> None:
-        with self._lock:
-            self.idempotent_replays[tenant] = (
-                self.idempotent_replays.get(tenant, 0) + 1
-            )
-
-    def adjust_in_flight(self, delta: int) -> None:
-        with self._lock:
-            self.in_flight += delta
-
-    def snapshot(self) -> Dict:
-        with self._lock:
-            return {
-                "requests": dict(self.requests),
-                "rejections": dict(self.rejections),
-                "tenant_requests": dict(self.tenant_requests),
-                "sheds": dict(self.sheds),
-                "idempotent_replays": dict(self.idempotent_replays),
-                "connections": self.connections,
-                "in_flight": self.in_flight,
-            }
-
-    def families(self, namespace: str = "sushi") -> List[MetricFamily]:
-        snap = self.snapshot()
-        n = namespace
-        return [
-            (f"{n}_gateway_requests_total", "counter",
-             "HTTP requests served, by path and status",
-             [({"path": path, "status": str(status)}, count)
-              for (path, status), count in sorted(snap["requests"].items())]
-             or [(None, 0)]),
-            (f"{n}_gateway_rejections_total", "counter",
-             "Requests rejected, by typed error code",
-             [({"code": code}, count)
-              for code, count in sorted(snap["rejections"].items())]
-             or [(None, 0)]),
-            (f"{n}_gateway_tenant_requests_total", "counter",
-             "Authenticated /infer requests, by tenant and status",
-             [({"tenant": tenant, "status": str(status)}, count)
-              for (tenant, status), count
-              in sorted(snap["tenant_requests"].items())]
-             or [(None, 0)]),
-            (f"{n}_gateway_connections_total", "counter",
-             "TCP connections accepted", [(None, snap["connections"])]),
-            (f"{n}_gateway_in_flight", "gauge",
-             "Requests currently being handled",
-             [(None, snap["in_flight"])]),
-            (f"{n}_gateway_idempotent_replays_total", "counter",
-             "Responses replayed from the idempotency ledger, by tenant",
-             [({"tenant": tenant}, count)
-              for tenant, count
-              in sorted(snap["idempotent_replays"].items())]
-             or [(None, 0)]),
-        ] + shed_families(snap["sheds"], namespace=n)
 
 
 class IdempotencyLedger:
@@ -306,7 +203,26 @@ class Gateway:
         self.port = port
         self.max_body_bytes = max_body_bytes
         self.submit_timeout_s = submit_timeout_s
-        self.metrics = GatewayMetrics()
+        self.counters = Counters("sushi_gateway", {
+            "requests": "HTTP requests served, by path and status",
+            "rejections": "Requests rejected, by typed error code",
+            "tenant_requests":
+                "Authenticated /infer requests, by tenant and status",
+            "connections": "TCP connections accepted",
+            "idempotent_replays":
+                "Responses replayed from the idempotency ledger, by tenant",
+        }, labels={
+            "requests": ("path", "status"),
+            "rejections": ("code",),
+            "tenant_requests": ("tenant", "status"),
+            "idempotent_replays": ("tenant",),
+        })
+        self.sheds = Counters("sushi_shed", {
+            "requests": "Requests shed at the edge, by error code and "
+                        "tenant priority",
+        }, labels={"requests": ("code", "priority")})
+        # Requests inside _dispatch; only the event loop touches it.
+        self._in_flight = 0
         self.idempotency = IdempotencyLedger(capacity=idempotency_capacity)
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -424,7 +340,7 @@ class Gateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self.metrics.record_connection()
+        self.counters.inc("connections")
         self._connections[writer] = False
         try:
             while True:
@@ -434,7 +350,7 @@ class Gateway:
                     )
                 except ProtocolError as exc:
                     # Framing is broken: answer once and hang up.
-                    self.metrics.record("other", exc.status, code=exc.code)
+                    self._record("other", exc.status, code=exc.code)
                     writer.write(render_response(
                         exc.status, error_body(exc.code, exc.message),
                         keep_alive=False,
@@ -471,7 +387,7 @@ class Gateway:
     ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
         """Route one request; returns (status, body, content-type,
         extra response headers)."""
-        self.metrics.adjust_in_flight(+1)
+        self._in_flight += 1
         try:
             path, method = request.path, request.method
             if path not in ROUTES:
@@ -497,7 +413,18 @@ class Gateway:
                 tenant = getattr(exc, "tenant_name", None)
                 return self._reject(path, exc, tenant=tenant)
         finally:
-            self.metrics.adjust_in_flight(-1)
+            self._in_flight -= 1
+
+    def _record(self, path: str, status: int,
+                code: Optional[str] = None,
+                tenant: Optional[str] = None) -> None:
+        route = path if path in ROUTES else "other"
+        self.counters.inc("requests", path=route, status=status)
+        if code is not None and status >= 400:
+            self.counters.inc("rejections", code=code)
+        if tenant is not None:
+            self.counters.inc("tenant_requests", tenant=tenant,
+                              status=status)
 
     def _reject(
         self,
@@ -505,7 +432,7 @@ class Gateway:
         exc: ProtocolError,
         tenant: Optional[str] = None,
     ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
-        self.metrics.record(path, exc.status, code=exc.code, tenant=tenant)
+        self._record(path, exc.status, code=exc.code, tenant=tenant)
         extra: Tuple[Tuple[str, str], ...] = ()
         if exc.retry_after_s is not None:
             seconds = max(1, int(math.ceil(exc.retry_after_s)))
@@ -521,42 +448,40 @@ class Gateway:
             "gateway": {
                 "host": self.host,
                 "port": self.port,
-                "in_flight": self.metrics.snapshot()["in_flight"],
+                "in_flight": self._in_flight,
             },
             "backend": self.server.health(),
         }
-        self.metrics.record("/healthz", 200)
+        self._record("/healthz", 200)
         return 200, json_body(payload), "application/json", ()
 
     def _handle_readyz(self) -> Tuple[int, bytes, str, Tuple]:
         if self.server.readiness():
-            self.metrics.record("/readyz", 200)
+            self._record("/readyz", 200)
             return 200, json_body({"ready": True}), "application/json", ()
-        self.metrics.record("/readyz", 503, code="not_ready")
+        self._record("/readyz", 503, code="not_ready")
         return (503, error_body("not_ready", "backend is not accepting "
                                 "requests"), "application/json",
                 (("Retry-After", "1"),))
 
     def _handle_metrics(self) -> Tuple[int, bytes, str, Tuple]:
-        from repro.explore.driver import explore_counter_families
-        from repro.gateway.client import GLOBAL_CLIENT_COUNTERS
-        from repro.rsfq.trace import trace_counter_families
+        # Imported here, not at module load: a serving process that
+        # never records a trace or runs a sweep does not pay for
+        # loading the engine and the explorer until the first scrape.
+        from repro.explore.driver import GLOBAL_EXPLORE_COUNTERS
+        from repro.rsfq.trace import GLOBAL_TRACE_COUNTERS
 
-        families = server_stats_families(self.server.stats())
-        families.extend(self.metrics.families())
-        families.extend(
-            client_counter_families(GLOBAL_CLIENT_COUNTERS.snapshot())
-        )
-        # Cluster backends (ClusterServer) expose cluster-wide gauges
-        # (nodes alive, per-node breaker state, rebalance count) via a
-        # duck-typed hook; single-node backends simply lack it.
-        cluster_families = getattr(self.server, "cluster_families", None)
-        if callable(cluster_families):
-            families.extend(cluster_families())
-        families.extend(trace_counter_families())
-        families.extend(explore_counter_families())
+        families = self.server.metric_families()
+        families += self.counters.families()
+        families.append(("sushi_gateway_in_flight", "gauge",
+                         "Requests currently being handled",
+                         [(None, self._in_flight)]))
+        families += self.sheds.families()
+        for counters in (GLOBAL_CLIENT_COUNTERS, GLOBAL_TRACE_COUNTERS,
+                         GLOBAL_EXPLORE_COUNTERS):
+            families += counters.families()
         text = render_prometheus(families)
-        self.metrics.record("/metrics", 200)
+        self._record("/metrics", 200)
         return (200, text.encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8", ())
 
@@ -568,7 +493,7 @@ class Gateway:
         drained = await loop.run_in_executor(
             None, lambda: self.server.drain(timeout=30.0)
         )
-        self.metrics.record("/drain", 200, tenant=tenant.name)
+        self._record("/drain", 200, tenant=tenant.name)
         return (200, json_body({"drained": bool(drained)}),
                 "application/json", ())
 
@@ -585,13 +510,14 @@ class Gateway:
                     # Exactly-once: the original was accepted; await /
                     # replay its outcome rather than computing again.
                     status, body = await asyncio.shield(recorded)
-                    self.metrics.record_replay(tenant.name)
-                    self.metrics.record("/infer", status,
-                                        tenant=tenant.name)
+                    self.counters.inc("idempotent_replays",
+                                      tenant=tenant.name)
+                    self._record("/infer", status, tenant=tenant.name)
                     return (status, body, "application/json",
                             ((REPLAY_HEADER, "true"),))
             if not self.rate_limiter.allow(tenant):
-                self.metrics.record_shed("rate_limited", tenant.priority)
+                self.sheds.inc("requests", code="rate_limited",
+                               priority=tenant.priority)
                 raise ProtocolError(
                     429, "rate_limited",
                     f"tenant {tenant.name!r} is over its rate limit "
@@ -600,7 +526,8 @@ class Gateway:
                 )
             reason = self.admission.check(priority=tenant.priority)
             if reason is not None:
-                self.metrics.record_shed(reason, tenant.priority)
+                self.sheds.inc("requests", code=reason,
+                               priority=tenant.priority)
                 raise ProtocolError(
                     503, reason,
                     f"request shed by admission control ({reason})",
@@ -616,7 +543,8 @@ class Gateway:
                     deadline_ms=parsed.deadline_ms,
                 )
             except queue_module.Full:
-                self.metrics.record_shed("queue_full", tenant.priority)
+                self.sheds.inc("requests", code="queue_full",
+                               priority=tenant.priority)
                 raise ProtocolError(
                     503, "queue_full",
                     "backend queue filled while admitting this request",
@@ -662,7 +590,7 @@ class Gateway:
             body = infer_response_body(result, tenant.name)
             if entry is not None:
                 self.idempotency.resolve_success(idem_key, (200, body))
-            self.metrics.record("/infer", 200, tenant=tenant.name)
+            self._record("/infer", 200, tenant=tenant.name)
             return 200, body, "application/json", ()
         except ProtocolError as exc:
             # Tag the rejection with the (authenticated) tenant so the
@@ -713,6 +641,7 @@ def main(argv=None) -> int:
                              "tenant set with well-known keys)")
     args = parser.parse_args(argv)
 
+    import signal
     import sys
 
     from repro.gateway.loadgen import _compile_workload
@@ -755,6 +684,12 @@ def main(argv=None) -> int:
     )
 
     async def _serve() -> None:
+        # SIGTERM and SIGINT both cancel serve_forever; the finally
+        # below then drains the backend and closes its pool, and the
+        # process exits 0.
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, asyncio.current_task().cancel)
         await gateway.start()
         print(f"gateway listening on http://{gateway.host}:{gateway.port} "
               f"(plan {server.compiled.fingerprint[:12]}, "

@@ -771,6 +771,11 @@ class _NetEdge:
             "127.0.0.1", self.proxy.port, api_key=api_key, **kwargs
         )
 
+    def replays(self) -> Dict[str, int]:
+        """The gateway's idempotent-replay ledger, by tenant."""
+        ledger = self.gateway.counters.snapshot()["idempotent_replays"]
+        return {tenant: count for (tenant,), count in ledger.items()}
+
     def close(self) -> None:
         self.proxy.close()
         self.gateway.close()
@@ -840,10 +845,10 @@ def _scenario_net_reset_storm(quick: bool, marker_dir: str) -> Dict:
         _check(stats["replays"] == 1,
                f"net-reset-storm: client saw {stats['replays']} replay "
                f"responses, want 1 (only the last retry is delivered)")
-        gw = edge.gateway.metrics.snapshot()
-        _check(gw["idempotent_replays"] == {"tenant-a": resets},
+        replays = edge.replays()
+        _check(replays == {"tenant-a": resets},
                f"net-reset-storm: gateway replays "
-               f"{gw['idempotent_replays']} != {{'tenant-a': {resets}}}")
+               f"{replays} != {{'tenant-a': {resets}}}")
         _check(edge.server.stats().completed == n_trains,
                "net-reset-storm: server computed a retried request twice")
         return {
@@ -851,7 +856,7 @@ def _scenario_net_reset_storm(quick: bool, marker_dir: str) -> Dict:
             "n_trains": n_trains,
             "client": stats,
             "proxy": edge.proxy.stats(),
-            "gateway_replays": dict(gw["idempotent_replays"]),
+            "gateway_replays": replays,
         }
     finally:
         edge.close()
@@ -896,10 +901,9 @@ def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
         _check(stats["conn_errors"] == 0 and stats["replays"] == 1,
                f"net-latency-spike: conn_errors={stats['conn_errors']} "
                f"replays={stats['replays']}, want 0 and 1")
-        gw = edge.gateway.metrics.snapshot()
-        _check(gw["idempotent_replays"] == {"tenant-a": spikes},
-               f"net-latency-spike: gateway replays "
-               f"{gw['idempotent_replays']}")
+        replays = edge.replays()
+        _check(replays == {"tenant-a": spikes},
+               f"net-latency-spike: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
                "net-latency-spike: a timed-out request was recomputed")
         return {
@@ -907,7 +911,7 @@ def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
             "n_trains": n_trains,
             "client": stats,
             "proxy": edge.proxy.stats(),
-            "gateway_replays": dict(gw["idempotent_replays"]),
+            "gateway_replays": replays,
         }
     finally:
         edge.close()
@@ -951,9 +955,8 @@ def _scenario_net_black_hole(quick: bool, marker_dir: str) -> Dict:
         _check(stats["replays"] == 0,
                "net-black-hole: the gateway never saw the black-holed "
                "request, so nothing should replay")
-        gw = edge.gateway.metrics.snapshot()
-        _check(gw["idempotent_replays"] == {},
-               f"net-black-hole: gateway replays {gw['idempotent_replays']}")
+        replays = edge.replays()
+        _check(replays == {}, f"net-black-hole: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
                "net-black-hole: duplicate compute after black-hole retry")
         return {
@@ -1045,16 +1048,16 @@ def _scenario_net_hedge_race(quick: bool, marker_dir: str) -> Dict:
                "net-hedge-race: hedging must not consume retries")
         _check(edge.proxy.fired("latency") == 1,
                f"net-hedge-race: fired {edge.proxy.fired('latency')}")
-        gw = edge.gateway.metrics.snapshot()
-        _check(gw["idempotent_replays"] == {"tenant-a": 1},
-               f"net-hedge-race: gateway replays {gw['idempotent_replays']}")
+        replays = edge.replays()
+        _check(replays == {"tenant-a": 1},
+               f"net-hedge-race: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
                "net-hedge-race: the hedge computed a second time")
         return {
             "n_trains": n_trains,
             "client": stats,
             "proxy": edge.proxy.stats(),
-            "gateway_replays": dict(gw["idempotent_replays"]),
+            "gateway_replays": replays,
         }
     finally:
         edge.close()
@@ -1139,15 +1142,15 @@ def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
                f"net-overload-shed: unexpected client errors: {errors}")
         ordered = [results[i] for i in sorted(results)]
         _check_net_results(edge, trains, ordered, "net-overload-shed")
-        gw = edge.gateway.metrics.snapshot()
-        _check(gw["sheds"] == {("overloaded", 2): 3},
-               f"net-overload-shed: shed ledger {gw['sheds']} != "
-               f"{{('overloaded', 2): 3}}")
+        sheds = edge.gateway.sheds.snapshot()["requests"]
+        _check(sheds == {("overloaded", "2"): 3},
+               f"net-overload-shed: shed ledger {sheds} != "
+               f"{{('overloaded', '2'): 3}}")
         _check(edge.server.stats().completed == 4,
                "net-overload-shed: completed count diverged")
         return {
             "sheds": {f"{code}:p{prio}": count
-                      for (code, prio), count in gw["sheds"].items()},
+                      for (code, prio), count in sheds.items()},
             "admitted": len(ordered),
             "shed_client": shed_stats,
         }

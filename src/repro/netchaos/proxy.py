@@ -323,9 +323,14 @@ class ChaosProxy:
             ),
         ]
         for pump in pumps:
-            with self._lock:
-                self._threads.append(pump)
             pump.start()
+        # Both sockets stay tracked (so close() can unblock either
+        # pump) until both directions are done; only then close them.
+        for pump in pumps:
+            pump.join()
+        for sock in (client, upstream):
+            _close_quietly(sock)
+            self._untrack(sock)
 
     def _blackhole(self, client: socket.socket, fault: NetFault) -> None:
         """Accept-then-silence: hold the socket, answer nothing."""
@@ -403,8 +408,6 @@ class ChaosProxy:
                 self._count(direction, len(data))
         except OSError:
             pass
-        finally:
-            self._untrack(src)
 
     def _reset(self, client: socket.socket) -> None:
         """Hard-reset the client side: SO_LINGER 0 turns close into RST.

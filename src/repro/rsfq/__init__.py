@@ -58,12 +58,10 @@ from repro.rsfq.trace import (
     CompiledTrace,
     EpisodeResult,
     ScheduleRecorder,
-    TraceCounters,
     TraceEngine,
     netlist_fingerprint,
     record_trace,
     schedule_fingerprint,
-    trace_counter_families,
 )
 from repro.rsfq.waveform import (
     PulseTrace,
@@ -105,13 +103,11 @@ __all__ = [
     "TraceEngine",
     "EpisodeResult",
     "ScheduleRecorder",
-    "TraceCounters",
     "GLOBAL_TRACE_COUNTERS",
     "TRACE_KIND",
     "record_trace",
     "netlist_fingerprint",
     "schedule_fingerprint",
-    "trace_counter_families",
     "PulseTrace",
     "levels_to_pulses",
     "pulses_to_levels",

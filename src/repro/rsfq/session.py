@@ -229,7 +229,7 @@ class SimulationSession:
         if until is not None or self.parallel_parts >= 2:
             from repro.rsfq.trace import GLOBAL_TRACE_COUNTERS
 
-            GLOBAL_TRACE_COUNTERS.bump("fallbacks")
+            GLOBAL_TRACE_COUNTERS.inc("fallbacks")
             return None
         engine = self._traced_engine()
         start = _time.perf_counter()

@@ -595,7 +595,7 @@ class Simulator:
             and type(self)._deliver_ideal is Simulator._deliver_ideal
         )
         if not eligible:
-            trace_mod.GLOBAL_TRACE_COUNTERS.bump("fallbacks")
+            trace_mod.GLOBAL_TRACE_COUNTERS.inc("fallbacks")
             return self.run(until=until, max_events=max_events,
                             deadline_s=deadline_s)
         engine = self._trace_engine

@@ -62,7 +62,6 @@ import hashlib
 import io
 import json
 import os
-import threading
 import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -72,6 +71,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, ConstraintViolationError
+from repro.obs import Counters
 from repro.rsfq.cells import Cell, Violation
 from repro.rsfq.constraints import INTERVAL_EPSILON
 from repro.rsfq.faults import FaultModel, fault_site_rng
@@ -97,64 +97,15 @@ Segments = Tuple[Tuple[NormStimulus, ...], ...]
 
 # -- replay counters ---------------------------------------------------------
 
-
-class TraceCounters:
-    """Thread-safe record/replay counters (Prometheus-exported).
-
-    One process-wide instance (:data:`GLOBAL_TRACE_COUNTERS`) aggregates
-    across every :class:`TraceEngine`; engines also keep per-instance
-    totals in :attr:`TraceEngine.stats`.
-    """
-
-    FIELDS = ("records", "replays", "fallbacks", "cache_hits",
-              "cache_misses")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {name: 0 for name in self.FIELDS}
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += n
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self.FIELDS:
-                self._counts[name] = 0
-
-
-#: Process-wide totals scraped by the gateway ``/metrics`` endpoint.
-GLOBAL_TRACE_COUNTERS = TraceCounters()
-
-_COUNTER_HELP = {
+#: Process-wide record/replay totals across every :class:`TraceEngine`,
+#: scraped by the gateway ``/metrics`` endpoint as ``sushi_trace_*``.
+GLOBAL_TRACE_COUNTERS = Counters("sushi_trace", {
     "records": "Gate-level schedules recorded into compiled traces",
     "replays": "Runs served by vectorized trace replay",
     "fallbacks": "Replay requests that fell back to the event engine",
     "cache_hits": "Compiled traces loaded from the plan cache",
     "cache_misses": "Trace-cache lookups that missed",
-}
-
-
-def trace_counter_families(counters: Optional[TraceCounters] = None,
-                           namespace: str = "sushi"):
-    """The trace counters as Prometheus metric families.
-
-    Same ``(name, type, help, samples)`` shape as
-    :func:`repro.serve.metrics.server_stats_families`, so the gateway can
-    append these to one :func:`~repro.serve.metrics.render_prometheus`
-    call.
-    """
-    snap = (GLOBAL_TRACE_COUNTERS if counters is None else counters
-            ).snapshot()
-    return [
-        (f"{namespace}_trace_{name}_total", "counter",
-         _COUNTER_HELP[name], [(None, snap[name])])
-        for name in TraceCounters.FIELDS
-    ]
+})
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -838,22 +789,19 @@ class TraceEngine:
     :data:`GLOBAL_TRACE_COUNTERS` aggregates across engines.
     """
 
-    def __init__(self, netlist: Netlist, cache=None,
-                 counters: Optional[TraceCounters] = None):
+    def __init__(self, netlist: Netlist, cache=None):
         self.netlist = netlist
         self.cache = cache
-        self.counters = GLOBAL_TRACE_COUNTERS if counters is None \
-            else counters
-        self.stats: Dict[str, int] = {
-            name: 0 for name in TraceCounters.FIELDS
-        }
+        self.stats: Dict[str, int] = dict.fromkeys(
+            GLOBAL_TRACE_COUNTERS.help, 0
+        )
         self._mem: Dict[str, object] = {}
         self._netlist_fp: Optional[str] = None
         self._fp_version: Optional[int] = None
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.stats[name] += n
-        self.counters.bump(name, n)
+        GLOBAL_TRACE_COUNTERS.inc(name, n)
 
     def _fp(self) -> str:
         version = self.netlist.topology_version

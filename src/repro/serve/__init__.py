@@ -24,7 +24,6 @@ from repro.serve.breaker import BreakerSnapshot, CircuitBreaker
 from repro.serve.metrics import (
     MetricsRecorder,
     ServerStats,
-    render_prometheus,
     server_stats_families,
 )
 from repro.serve.server import InferenceServer, ServeResult
@@ -36,6 +35,5 @@ __all__ = [
     "MetricsRecorder",
     "ServeResult",
     "ServerStats",
-    "render_prometheus",
     "server_stats_families",
 ]

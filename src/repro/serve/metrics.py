@@ -21,7 +21,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
+
+from repro.obs import MetricFamily
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -121,63 +123,19 @@ class ServerStats:
         }
 
 
-# -- Prometheus text exposition ---------------------------------------------
-#
-# A metric *family* is ``(name, type, help, samples)`` where ``samples``
-# is a list of ``(labels-or-None, value)``.  The renderer emits the
-# Prometheus text exposition format (version 0.0.4): one ``# HELP`` and
-# ``# TYPE`` comment per family followed by its sample lines.  Only the
-# subset the gateway needs is implemented -- counters and gauges, label
-# escaping, no timestamps -- but the output parses with any Prometheus
-# scraper (and with the little parser in ``tests/gateway``).
-
-MetricFamily = Tuple[str, str, str, Sequence[Tuple[Optional[Dict], float]]]
+# -- Prometheus families ----------------------------------------------------
 
 #: The breaker states exported as a one-hot ``breaker_state`` gauge.
 BREAKER_STATES = ("closed", "open", "half-open")
 
 
-def _escape_label_value(value: str) -> str:
-    return (value.replace("\\", r"\\").replace("\n", r"\n")
-            .replace('"', r'\"'))
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def render_prometheus(families: Iterable[MetricFamily]) -> str:
-    """Render metric families as Prometheus text exposition."""
-    lines: List[str] = []
-    for name, mtype, help_text, samples in families:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        for labels, value in samples:
-            if labels:
-                rendered = ",".join(
-                    f'{key}="{_escape_label_value(str(val))}"'
-                    for key, val in sorted(labels.items())
-                )
-                lines.append(f"{name}{{{rendered}}} {_format_value(value)}")
-            else:
-                lines.append(f"{name} {_format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def server_stats_families(
-    stats: "ServerStats", namespace: str = "sushi"
-) -> List[MetricFamily]:
+def server_stats_families(stats: ServerStats) -> List[MetricFamily]:
     """The backend :class:`ServerStats` as Prometheus metric families.
 
     Counters keep their cumulative-total semantics (``_total`` suffix);
     point-in-time fields export as gauges; the breaker state is a
     one-hot gauge over :data:`BREAKER_STATES`.
     """
-    n = namespace
     counters = (
         ("requests", stats.requests, "Requests accepted by the server"),
         ("completed", stats.completed, "Requests answered successfully"),
@@ -217,76 +175,21 @@ def server_stats_families(
          "Pool worker resurrections"),
     )
     families: List[MetricFamily] = [
-        (f"{n}_server_{name}_total", "counter", help_text,
+        (f"sushi_server_{name}_total", "counter", help_text,
          [(None, value)])
         for name, value, help_text in counters
     ]
     families.extend(
-        (f"{n}_server_{name}", "gauge", help_text, [(None, value)])
+        (f"sushi_server_{name}", "gauge", help_text, [(None, value)])
         for name, value, help_text in gauges
     )
     families.append((
-        f"{n}_server_breaker_state", "gauge",
+        "sushi_server_breaker_state", "gauge",
         "Circuit breaker state (one-hot over closed/open/half-open)",
         [({"state": state}, 1.0 if stats.breaker_state == state else 0.0)
          for state in BREAKER_STATES],
     ))
     return families
-
-
-#: Help text for the ``sushi_client_*`` families (the counter names
-#: mirror :data:`repro.gateway.client.CLIENT_COUNTER_FIELDS`).
-_CLIENT_COUNTER_HELP = {
-    "requests": "Client requests issued",
-    "attempts": "Wire attempts (first sends + retries + hedges)",
-    "retries": "Attempts re-sent after a transport failure",
-    "hedges": "Duplicate requests fired after the hedge threshold",
-    "hedge_wins": "Hedged duplicates that answered first",
-    "timeouts": "Attempts that timed out on the socket",
-    "conn_errors": "Attempts that died on reset/refused/EOF",
-    "replays": "Responses served from the server idempotency ledger",
-    "deadline_exceeded": "Requests abandoned after the client deadline",
-    "budget_exhausted": "Retries refused by the lifetime retry budget",
-    "connections_opened": "Fresh TCP connections dialled",
-    "connections_reused": "Requests served off a pooled connection",
-}
-
-
-def client_counter_families(
-    snapshot: Dict[str, int], namespace: str = "sushi"
-) -> List[MetricFamily]:
-    """``sushi_client_*`` families from a client-counter snapshot.
-
-    Takes a plain dict (rather than importing the gateway client) so
-    the serve layer stays import-cycle free; the gateway ``/metrics``
-    handler feeds it ``GLOBAL_CLIENT_COUNTERS.snapshot()``.
-    """
-    n = namespace
-    return [
-        (f"{n}_client_{name}_total", "counter",
-         _CLIENT_COUNTER_HELP.get(name, name),
-         [(None, count)])
-        for name, count in sorted(snapshot.items())
-    ]
-
-
-def shed_families(
-    sheds: Dict[Tuple[str, int], int], namespace: str = "sushi"
-) -> List[MetricFamily]:
-    """``sushi_shed_*`` families from ``(code, priority) -> count``.
-
-    The edge's load-shedding story by typed reason and tenant
-    priority class -- rate limiting and admission control both land
-    here, so one scrape shows *who* is being turned away and *why*.
-    """
-    n = namespace
-    return [
-        (f"{n}_shed_requests_total", "counter",
-         "Requests shed at the edge, by error code and tenant priority",
-         [({"code": code, "priority": str(priority)}, count)
-          for (code, priority), count in sorted(sheds.items())]
-         or [(None, 0)]),
-    ]
 
 
 class MetricsRecorder:

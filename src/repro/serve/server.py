@@ -45,7 +45,12 @@ import numpy as np
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.snn.binarize import BinarizedNetwork
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.metrics import MetricsRecorder, ServerStats
+from repro.obs import MetricFamily
+from repro.serve.metrics import (
+    MetricsRecorder,
+    ServerStats,
+    server_stats_families,
+)
 from repro.ssnn.compile import (
     CompiledNetwork,
     compile_network,
@@ -390,6 +395,10 @@ class InferenceServer:
         not shutting down -- the load-balancer admission check."""
         return (self._running and self._accepting
                 and not self._stopping.is_set())
+
+    def metric_families(self) -> List[MetricFamily]:
+        """The backend's families for the gateway ``/metrics`` scrape."""
+        return server_stats_families(self.stats())
 
     # -- dispatcher ----------------------------------------------------------
 

@@ -83,6 +83,7 @@ import ctypes
 import itertools
 import os
 import pickle
+import signal
 import struct
 import threading
 import time
@@ -223,7 +224,11 @@ def _worker_main(slot, payload, tasks, results, blas_threads,
     with ``status`` one of ``"ok"`` (shard done), ``"shm"`` (segment
     vanished -- retryable), ``"stale"`` (epoch guard mismatch -- the
     task outlived its job) or ``"error"`` (execution failed).
+
+    Workers ignore SIGINT: a terminal's Ctrl-C reaches the whole
+    process group, and only the parent decides when the pool closes.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _blas_threads(cap=blas_threads)
     compiled: CompiledNetwork = pickle.loads(payload)
     while True:

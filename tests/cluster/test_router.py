@@ -14,7 +14,7 @@ from repro.cluster import ClusterRouter, PoolNode
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network
 from repro.serve import CircuitBreaker
-from repro.serve.metrics import render_prometheus
+from repro.obs import render_prometheus
 from repro.ssnn import compile_network
 
 CHIP_N = 4

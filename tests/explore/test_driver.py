@@ -8,11 +8,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.explore import (
     EXPLORE_KIND,
+    GLOBAL_EXPLORE_COUNTERS,
     ExploreConfig,
-    ExploreCounters,
     build_workload,
     evaluate_point,
-    explore_counter_families,
     pinned_digest,
     pinned_view,
     render_report,
@@ -90,10 +89,10 @@ class TestReportShape:
 class TestMemoization:
     def test_warm_rerun_is_all_hits_and_bit_identical(
             self, quick, cache):
-        counters = ExploreCounters()
+        counters = GLOBAL_EXPLORE_COUNTERS.fresh()
         cold = run_explore(quick, plan_cache=cache, counters=counters)
         assert counters.snapshot()["point_cache_hits"] == 0
-        warm_counters = ExploreCounters()
+        warm_counters = GLOBAL_EXPLORE_COUNTERS.fresh()
         warm = run_explore(quick, plan_cache=cache,
                            counters=warm_counters)
         snap = warm_counters.snapshot()
@@ -105,7 +104,7 @@ class TestMemoization:
 
     def test_config_change_invalidates_points(self, quick, cache):
         run_explore(quick, plan_cache=cache)
-        counters = ExploreCounters()
+        counters = GLOBAL_EXPLORE_COUNTERS.fresh()
         other = replace(quick, memory_technology="vt-ram")
         run_explore(other, plan_cache=cache, counters=counters)
         # Different memory technology -> different content addresses.
@@ -123,7 +122,7 @@ class TestMemoization:
         )
         assert path.exists()
         path.write_bytes(b"not an npz")
-        counters = ExploreCounters()
+        counters = GLOBAL_EXPLORE_COUNTERS.fresh()
         report = run_explore(quick, plan_cache=cache,
                              counters=counters)
         snap = counters.snapshot()
@@ -131,12 +130,12 @@ class TestMemoization:
         assert snap["point_cache_hits"] == \
             report["counters"]["points_total"] - 1
         # ... and the repaired entry serves the next sweep.
-        again = ExploreCounters()
+        again = GLOBAL_EXPLORE_COUNTERS.fresh()
         run_explore(quick, plan_cache=cache, counters=again)
         assert again.snapshot()["points_evaluated"] == 0
 
     def test_uncached_sweep_counts_no_cache_traffic(self, quick):
-        counters = ExploreCounters()
+        counters = GLOBAL_EXPLORE_COUNTERS.fresh()
         run_explore(quick, plan_cache=None, counters=counters)
         snap = counters.snapshot()
         assert snap["point_cache_hits"] == 0
@@ -195,10 +194,10 @@ class TestMemoryTechnologies:
 
 class TestCountersAndConfig:
     def test_counter_families_shape(self):
-        counters = ExploreCounters()
-        counters.bump("sweeps")
-        counters.bump("points_evaluated", 5)
-        families = explore_counter_families(counters)
+        counters = GLOBAL_EXPLORE_COUNTERS.fresh()
+        counters.inc("sweeps")
+        counters.inc("points_evaluated", 5)
+        families = counters.families()
         by_name = {name: samples for name, kind, help_, samples
                    in families}
         assert by_name["sushi_explore_sweeps_total"] == [(None, 1)]
@@ -210,11 +209,9 @@ class TestCountersAndConfig:
             assert help_
 
     def test_counters_render_through_prometheus(self):
-        from repro.serve.metrics import render_prometheus
+        from repro.obs import render_prometheus
 
-        text = render_prometheus(
-            explore_counter_families(ExploreCounters())
-        )
+        text = render_prometheus(GLOBAL_EXPLORE_COUNTERS.fresh().families())
         assert "# TYPE sushi_explore_sweeps_total counter" in text
 
     @pytest.mark.parametrize("bad", [

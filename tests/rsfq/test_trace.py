@@ -21,7 +21,6 @@ from repro.rsfq.trace import (
     netlist_fingerprint,
     record_trace,
     schedule_fingerprint,
-    trace_counter_families,
 )
 from repro.ssnn import PlanCache
 
@@ -400,7 +399,7 @@ class TestCounters:
         snap = GLOBAL_TRACE_COUNTERS.snapshot()
         assert snap["records"] == 1
         assert snap["replays"] == 1
-        families = trace_counter_families()
+        families = GLOBAL_TRACE_COUNTERS.families()
         names = {f[0] for f in families}
         assert names == {
             "sushi_trace_records_total",
@@ -413,8 +412,8 @@ class TestCounters:
         assert by_name["sushi_trace_records_total"] >= 1
 
     def test_gateway_metrics_expose_trace_counters(self):
-        from repro.serve.metrics import render_prometheus
+        from repro.obs import render_prometheus
 
-        text = render_prometheus(trace_counter_families())
+        text = render_prometheus(GLOBAL_TRACE_COUNTERS.families())
         assert "sushi_trace_replays_total" in text
         assert "sushi_trace_fallbacks_total" in text

@@ -9,12 +9,12 @@ import re
 
 import pytest
 
+from repro.obs import render_prometheus
 from repro.serve.metrics import (
     BREAKER_STATES,
     MetricsRecorder,
     ServerStats,
     _percentile,
-    render_prometheus,
     server_stats_families,
 )
 
@@ -142,14 +142,6 @@ class TestPrometheusExposition:
                 want = "1" if state == active else "0"
                 assert (f'sushi_server_breaker_state{{state="{state}"}} '
                         f"{want}") in text
-
-    def test_namespace_override(self):
-        stats = MetricsRecorder().snapshot()
-        text = render_prometheus(
-            server_stats_families(stats, namespace="acme")
-        )
-        assert "acme_server_requests_total 0" in text
-        assert "sushi_" not in text
 
     def test_counter_families_use_total_suffix(self):
         stats = MetricsRecorder().snapshot()
