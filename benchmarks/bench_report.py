@@ -1,14 +1,14 @@
 """Event-engine benchmark report: ``BENCH_simulator.json`` writer/checker.
 
-Measures the reference workloads of :mod:`legacy_engine` on the legacy,
-fast sequential, and partitioned parallel engines and reports events/sec,
-wall time and the fast-over-legacy speedup.
+Measures the reference workloads of :mod:`legacy_engine` on the legacy
+and fast sequential engines and the trace replayer, and reports
+events/sec, wall time and the fast-over-legacy speedup.
 
 Two fields classes live in the JSON:
 
 * **Pinned** (checked by ``--check`` and the CI perf-smoke step): the
-  deterministic events-processed counts, violation counts and partition
-  counts per workload.  Any optimisation that changes *what* the engine
+  deterministic events-processed and violation counts per workload, and
+  the trace-replay counters.  Any optimisation that changes *what* the engine
   simulates -- rather than how fast -- shows up here as drift and fails
   the check.
 * **Informational** (recorded, never asserted): wall-clock derived numbers
@@ -43,8 +43,8 @@ REPORT_PATH = Path(__file__).resolve().parent / "BENCH_simulator.json"
 SCHEMA_VERSION = 1
 
 #: Fields that must not drift between runs (deterministic engine outputs).
-PINNED_FIELDS = ("events", "violations", "partitions", "replays",
-                 "fallbacks", "replay_equal")
+PINNED_FIELDS = ("events", "violations", "replays", "fallbacks",
+                 "replay_equal")
 
 
 def measure() -> dict:
@@ -54,35 +54,21 @@ def measure() -> dict:
 
     chip_legacy = run_chip_workload(engine="legacy")
     chip_fast = run_chip_workload(engine="fast")
-    holder = {}
-
-    def parallel_factory(chip):
-        sim = chip.parallel_simulator(parts=4)
-        holder["sim"] = sim
-        return sim
-
-    chip_parallel = run_chip_workload(sim_factory=parallel_factory,
-                                      engine="parallel")
-    par_sim = holder["sim"]
 
     if chip_legacy.outputs != chip_fast.outputs:
         raise AssertionError("legacy and fast engines disagree on outputs")
-    if chip_fast.outputs != chip_parallel.outputs:
-        raise AssertionError("fast and parallel engines disagree on outputs")
 
-    def block(result, pinned_extra=None):
-        data = {
+    def block(result):
+        return {
             "events": result.events,
             "violations": result.violations,
             "wall_time_s": round(result.wall_time_s, 6),
             "events_per_sec": round(result.events_per_sec, 1),
         }
-        data.update(pinned_extra or {})
-        return data
 
     return {
         "version": SCHEMA_VERSION,
-        "note": ("events/violations/partitions are pinned by --check; "
+        "note": ("events/violations are pinned by --check; "
                  "wall-clock numbers are informational"),
         "workloads": {
             "chain_300x150": {
@@ -98,11 +84,6 @@ def measure() -> dict:
                                 "6 timesteps x 4 passes"),
                 "legacy": block(chip_legacy),
                 "fast": block(chip_fast),
-                "parallel": block(
-                    chip_parallel,
-                    {"partitions": par_sim.plan.n_partitions,
-                     "rounds": par_sim.rounds},
-                ),
                 "speedup_fast_over_legacy": round(
                     chip_fast.events_per_sec
                     / chip_legacy.events_per_sec, 3),

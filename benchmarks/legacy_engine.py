@@ -179,8 +179,6 @@ def run_chip_workload(
         sim = LegacySimulator(chip.net)
     elif engine == "fast":
         sim = chip.simulator()
-    elif engine == "parallel":
-        sim = chip.parallel_simulator(parts=2 * n)
     else:
         raise ConfigurationError(f"unknown workload engine '{engine}'")
     return _drive_protocol(chip, sim, engine, n, repeats)

@@ -52,20 +52,8 @@ class FaultInjectionError(ReproError):
     targets cells or wires that do not exist in the netlist being bound, or
     when a fault configuration is incompatible with the engine it is
     attached to (e.g. fault injection combined with the legacy
-    ``jitter_mode="global"`` stream, which is not reproducible under
-    partitioned execution).
-    """
-
-
-class WorkerTimeoutError(ReproError):
-    """A parallel simulation worker exceeded its per-round time budget.
-
-    Raised by :class:`repro.rsfq.parallel.ParallelSimulator` when
-    ``worker_timeout_s`` is set, a round's worker misses the deadline, and
-    the simulator was configured with ``on_worker_timeout="raise"``.  With
-    the default ``"fallback"`` policy the engine instead records the
-    timeout and degrades to the sequential executor for the remaining
-    rounds (see ``docs/FAULTS.md``).
+    ``jitter_mode="global"`` stream, whose draws depend on the global
+    delivery order).
     """
 
 
@@ -104,12 +92,12 @@ class DeadlineExceededError(ReproError):
 
     Two layers raise it:
 
-    * :meth:`repro.rsfq.simulator.Simulator.run` (and the partitioned
-      engine's round loop) when the ``deadline_s`` guard runs out with
-      events still pending.  Complements ``max_events``: the event guard
-      bounds *logical* work, the deadline bounds *physical* time, so a
-      pathologically slow (but not runaway) simulation cannot stall a
-      batch runtime or campaign sweep.
+    * :meth:`repro.rsfq.simulator.Simulator.run` when the ``deadline_s``
+      guard runs out with events still pending.  Complements
+      ``max_events``: the event guard bounds *logical* work, the
+      deadline bounds *physical* time, so a pathologically slow (but
+      not runaway) simulation cannot stall a batch runtime or campaign
+      sweep.
     * The serving dispatcher, for requests submitted with a per-request
       ``deadline_ms`` that were still queued when the deadline lapsed:
       the request fails at dispatch time instead of burning a batch slot

@@ -260,13 +260,16 @@ class Gateway:
                 writer.close()
 
     async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled -- the CLI path."""
+        """Start (if needed) and serve until cancelled -- the CLI path.
+
+        Cancellation stops the listener and then propagates, so a
+        cancelled serve task reads ``cancelled()`` and
+        ``asyncio.wait_for`` raises its timeout.
+        """
         if self._asyncio_server is None:
             await self.start()
         try:
             await self._asyncio_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
         finally:
             await self.stop()
 
@@ -684,9 +687,10 @@ def main(argv=None) -> int:
     )
 
     async def _serve() -> None:
-        # SIGTERM and SIGINT both cancel serve_forever; the finally
-        # below then drains the backend and closes its pool, and the
-        # process exits 0.
+        # SIGTERM and SIGINT both cancel this task: serve_forever stops
+        # the listener and re-raises, asyncio.run surfaces the
+        # cancellation, and the finally below drains the backend and
+        # closes its pool before the process exits 0.
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, asyncio.current_task().cancel)
@@ -699,7 +703,7 @@ def main(argv=None) -> int:
 
     try:
         asyncio.run(_serve())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         server.stop()

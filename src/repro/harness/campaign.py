@@ -52,7 +52,6 @@ from repro.harness.reporting import format_table
 from repro.rsfq.faults import FAULT_KINDS, FaultModel
 from repro.rsfq.library import JTL, Probe
 from repro.rsfq.netlist import Netlist
-from repro.rsfq.parallel import ParallelSimulator
 from repro.rsfq.simulator import Simulator, margin_report_rows
 
 __all__ = [
@@ -80,16 +79,13 @@ class CampaignConfig:
         n_pulses: Input pulses per trial (= BER bits per trial).
         pulse_interval_ps: Input pulse spacing; also the BER window width.
         fault_delay_ps: ``delay_ps`` for duplicate/extra-delay specs.
-        parallel_parts: When >= 2, trials run on the partitioned engine
-            (results are bit-identical to sequential -- a cheap cross
-            check for campaign infrastructure).
         engine: ``"event"`` (default) runs every trial on the
             discrete-event engine; ``"traced"`` records the stimulus
             schedule once and serves repeat trials from the vectorized
             :class:`~repro.rsfq.trace.TraceEngine` replayer (p=0 /
             zero-injection trials replay, injecting trials transparently
             fall back -- results are bit-identical either way; see
-            docs/ENGINE.md).  Mutually exclusive with ``parallel_parts``.
+            docs/ENGINE.md).
         max_events: Runaway guard per trial.
         deadline_s: Optional wall-clock guard per trial (see
             :meth:`repro.rsfq.simulator.Simulator.run`).
@@ -104,7 +100,6 @@ class CampaignConfig:
     n_pulses: int = 32
     pulse_interval_ps: float = 200.0
     fault_delay_ps: float = 5.0
-    parallel_parts: int = 0
     engine: str = "event"
     max_events: int = 10_000_000
     deadline_s: Optional[float] = None
@@ -120,12 +115,6 @@ class CampaignConfig:
             raise ConfigurationError(
                 f"unknown engine '{self.engine}'; "
                 "available: ('event', 'traced')"
-            )
-        if self.engine == "traced" and self.parallel_parts >= 2:
-            raise ConfigurationError(
-                "engine='traced' and parallel_parts >= 2 are mutually "
-                "exclusive; the trace replayer is a sequential-engine "
-                "surrogate"
             )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
@@ -389,18 +378,10 @@ def run_resilience_campaign(
                             if worst_slack is None or slack < worst_slack:
                                 worst_slack = slack
                         continue
-                    if config.parallel_parts >= 2:
-                        trial_sim = ParallelSimulator(
-                            net, parts=config.parallel_parts,
-                            jitter_ps=sigma, seed=jitter_seed,
-                            faults=model,
-                        )
-                    else:
-                        trial_sim = Simulator(
-                            net, jitter_ps=sigma, seed=jitter_seed,
-                            jitter_mode="wire",
-                            faults=model,
-                        )
+                    trial_sim = Simulator(
+                        net, jitter_ps=sigma, seed=jitter_seed,
+                        jitter_mode="wire", faults=model,
+                    )
                     stats = trial_sim.run_batch(
                         [stimuli],
                         max_events=config.max_events,

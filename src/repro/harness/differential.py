@@ -17,6 +17,9 @@ proof as reusable machinery:
   -- drive a single random neuron through the gate-level RSFQ chip and
   check it against the behavioural/fast decisions (the miniature version
   of the paper's Fig. 16 chip-vs-simulation study);
+* :func:`run_traced_gate_differential` -- drive a random ``n x n``
+  gate-level chip protocol through the event engine and replay it
+  through the trace engine, comparing the physics bit-for-bit;
 * :meth:`DifferentialReport.to_snapshot` -- feed the result into the
   :mod:`repro.harness.regression` snapshot machinery so CI can gate on
   "still equivalent, still the same totals".
@@ -463,17 +466,13 @@ def gate_level_step_outputs(
     sc_per_npe: int = 6,
     jitter_ps: float = 0.0,
     seed: Optional[int] = None,
-    engine: str = "sequential",
-    parts: int = 2,
 ) -> List[int]:
     """Per-step spike decisions of one neuron on the gate-level chip.
 
     ``weights`` is the neuron's (in,) signed weight vector, ``input_spikes``
     a (T, in) binary matrix.  Each step streams the active inhibitory then
     excitatory synapses through a 1x1 gate-level chip (NPE0 relaying into
-    NPE1), exactly like the Fig. 16 waveform path.  ``engine="parallel"``
-    runs the same protocol on the partitioned
-    :class:`~repro.rsfq.parallel.ParallelSimulator`.
+    NPE1), exactly like the Fig. 16 waveform path.
     """
     from repro.neuro.chip import ChipConfig, ChipDriver, GateLevelChip
     from repro.neuro.state_controller import Polarity
@@ -486,16 +485,7 @@ def gate_level_step_outputs(
             "weights must be (in,) and input_spikes (T, in)"
         )
     chip = GateLevelChip(ChipConfig(n=1, sc_per_npe=sc_per_npe))
-    if engine == "parallel":
-        sim = chip.parallel_simulator(
-            parts=parts, jitter_ps=jitter_ps, seed=seed
-        )
-    elif engine == "sequential":
-        sim = chip.simulator(jitter_ps=jitter_ps, seed=seed)
-    else:
-        raise ConfigurationError(
-            f"unknown engine '{engine}'; use 'sequential' or 'parallel'"
-        )
+    sim = chip.simulator(jitter_ps=jitter_ps, seed=seed)
     driver = ChipDriver(chip, sim)
     outputs: List[int] = []
     for t in range(input_spikes.shape[0]):
@@ -564,66 +554,38 @@ def run_gate_level_differential(
     }
 
 
-#: Engines understood by :func:`run_parallel_gate_differential`.
-GATE_ENGINES = ("sequential", "parallel", "traced")
-
-
-def run_parallel_gate_differential(
+def run_traced_gate_differential(
     seed: int = 0,
     n: int = 2,
     sc_per_npe: int = 3,
     passes: int = 4,
-    parts: int = 4,
     jitter_ps: float = 0.0,
-    executor: str = "serial",
     faults=None,
-    engines: Sequence[str] = ("sequential", "parallel"),
 ) -> Dict:
-    """Sequential vs partitioned gate-level engine on one random workload.
+    """Event engine vs trace engine on one random gate-level workload.
 
-    Drives two freshly-built ``n x n`` :class:`GateLevelChip` instances --
-    one under the sequential :class:`~repro.rsfq.simulator.Simulator`
-    (``jitter_mode="wire"`` so jitter draws are interleaving-independent),
-    one under :class:`~repro.rsfq.parallel.ParallelSimulator` cut along
-    the mesh -- through an identical seeded protocol (random thresholds,
-    weights and spike patterns), then compares the physics bit-for-bit:
-    per-channel pulse times, violation counts, margin tables, per-column
-    fire times and final simulation time.
+    Drives a fresh ``n x n`` :class:`GateLevelChip` through a seeded
+    protocol (random thresholds, weights, spike patterns and polarities)
+    on a :class:`~repro.rsfq.trace.ScheduleRecorder` -- the sequential
+    :class:`~repro.rsfq.simulator.Simulator` in ``jitter_mode="wire"``,
+    which also logs every scheduled stimulus -- then replays the captured
+    schedule through :class:`~repro.rsfq.trace.TraceEngine` on a second
+    fresh chip and compares the physics bit-for-bit: per-channel pulse
+    times, violation counts, margin tables, per-column fire times, final
+    simulation time, event counts and, under ``faults`` (a
+    :class:`~repro.rsfq.faults.FaultModel` attached to both runs), the
+    canonical injection logs.
 
-    ``faults`` optionally attaches a
-    :class:`~repro.rsfq.faults.FaultModel` to *both* engines: the verdict
-    then additionally requires the canonical injection logs to compare
-    equal (the fault-determinism acceptance criterion; see
-    ``docs/FAULTS.md``).
-
-    ``engines`` selects which candidates run against the sequential
-    baseline.  ``"sequential"`` is mandatory; add ``"traced"`` to replay
-    the captured stimulus schedule through
-    :class:`~repro.rsfq.trace.TraceEngine` on a third fresh chip and fold
-    ``traced_*`` verdicts into ``equivalent`` (faulted or divergent runs
-    may legitimately report ``traced_mode == "fallback"``, but the
-    physics must still match bit-for-bit; see ``docs/ENGINE.md``).
-
-    Returns a dict with an ``equivalent`` flag and the per-aspect
-    verdicts (the parallel acceptance artefact; see
-    ``tests/rsfq/test_parallel.py``).
+    A faulted or divergent run may report ``traced_mode == "fallback"``
+    (the trace engine re-executed it on the event loop); the physics must
+    still match.  Returns the per-aspect ``traced_*_equal`` verdicts plus
+    ``equivalent`` (all of them), ``events``, ``injections``,
+    ``traced_mode`` and ``traced_events``.
     """
     from repro.neuro.chip import ChipConfig, ChipDriver, GateLevelChip
     from repro.neuro.state_controller import Polarity
-    from repro.rsfq.parallel import ParallelSimulator
-    from repro.rsfq.simulator import Simulator
     from repro.rsfq.trace import ScheduleRecorder, TraceEngine
     from repro.rsfq.waveform import PulseTrace
-
-    unknown = [e for e in engines if e not in GATE_ENGINES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown engines {unknown}; available: {list(GATE_ENGINES)}"
-        )
-    if "sequential" not in engines:
-        raise ConfigurationError(
-            "the sequential engine is the baseline and cannot be dropped"
-        )
 
     rng = np.random.default_rng(seed)
     capacity = 1 << sc_per_npe
@@ -640,126 +602,56 @@ def run_parallel_gate_differential(
         for _ in range(passes)
     ]
 
-    def execute(make_sim):
-        chip = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
-        trace = PulseTrace()
-        sim = make_sim(chip, trace)
-        driver = ChipDriver(chip, sim)
-        driver.begin_timestep(thresholds)
-        for strengths, spikes, polarity in zip(
-            weight_sets, spike_sets, polarities
-        ):
-            driver.configure_weights(strengths)
-            driver.run_pass(polarity, spikes)
-        fires = [list(chip.fire_times(j)) for j in range(n)]
-        return sim, trace, fires
-
-    # The sequential baseline runs as a ScheduleRecorder when the traced
-    # candidate is requested: the recorder is a plain Simulator that also
-    # logs every scheduled stimulus, so the traced leg can re-execute the
-    # exact closed-loop schedule open-loop.
-    seq_cls = ScheduleRecorder if "traced" in engines else Simulator
-    seq_sim, seq_trace, seq_fires = execute(
-        lambda chip, trace: seq_cls(
-            chip.net, trace=trace, jitter_ps=jitter_ps, seed=seed,
-            jitter_mode="wire", faults=faults,
-        )
+    chip = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
+    trace = PulseTrace()
+    sim = ScheduleRecorder(
+        chip.net, trace=trace, jitter_ps=jitter_ps, seed=seed,
+        jitter_mode="wire", faults=faults,
     )
+    driver = ChipDriver(chip, sim)
+    driver.begin_timestep(thresholds)
+    for strengths, spikes, polarity in zip(
+        weight_sets, spike_sets, polarities
+    ):
+        driver.configure_weights(strengths)
+        driver.run_pass(polarity, spikes)
+    fires = [list(chip.fire_times(j)) for j in range(n)]
 
+    chip_t = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
+    episode = TraceEngine(chip_t.net).run_episode(
+        sim.captured_segments(),
+        jitter_ps=jitter_ps, seed=seed, jitter_mode="wire",
+        faults=faults, want_trace=True,
+    )
+    t_trace = episode.trace
+    channels = set(trace.channels()) | set(t_trace.channels())
     verdict = {
-        "events": (seq_sim.events_processed,),
-        "injections": sum(seq_sim.fault_counts().values()),
-        "equivalent": True,
-    }
-
-    if "parallel" in engines:
-        par_sim, par_trace, par_fires = execute(
-            lambda chip, trace: ParallelSimulator(
-                chip.net, parts=parts, hints=chip.partition_hints(),
-                trace=trace, jitter_ps=jitter_ps, seed=seed,
-                executor=executor, faults=faults,
-            )
-        )
-        channels = set(seq_trace.channels()) | set(par_trace.channels())
-        channels_equal = all(
-            seq_trace.times(*channel) == par_trace.times(*channel)
+        "events": sim.events_processed,
+        "injections": sum(sim.fault_counts().values()),
+        "traced_mode": episode.mode,
+        "traced_events": episode.events,
+        "traced_channels_equal": all(
+            trace.times(*channel) == t_trace.times(*channel)
             for channel in channels
-        )
-        verdict.update({
-            "partitions": par_sim.plan.n_partitions,
-            "rounds": par_sim.rounds,
-            "cut_wires": len(par_sim.plan.cut_wires),
-            "events": (seq_sim.events_processed, par_sim.events_processed),
-            "channels_equal": channels_equal,
-            "log_equal": seq_trace.events() == par_trace.events(),
-            "violations_equal": (
-                len(seq_sim.violations) == len(par_sim.violations)
-            ),
-            "margins_equal": seq_sim.margins == par_sim.margins,
-            "fires_equal": seq_fires == par_fires,
-            "now_equal": seq_sim.now == par_sim.now,
-            "injection_log_equal": (
-                seq_sim.injection_log() == par_sim.injection_log()
-                and seq_sim.fault_counts() == par_sim.fault_counts()
-            ),
-        })
-        verdict["equivalent"] = (
-            channels_equal
-            and verdict["violations_equal"]
-            and verdict["margins_equal"]
-            and verdict["fires_equal"]
-            and verdict["now_equal"]
-            and verdict["injection_log_equal"]
-            and seq_sim.events_processed == par_sim.events_processed
-        )
-
-    if "traced" in engines:
-        chip_t = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
-        engine = TraceEngine(chip_t.net)
-        episode = engine.run_episode(
-            seq_sim.captured_segments(),
-            jitter_ps=jitter_ps, seed=seed, jitter_mode="wire",
-            faults=faults, want_trace=True,
-        )
-        traced_fires = [list(chip_t.fire_times(j)) for j in range(n)]
-        t_trace = episode.trace
-        t_channels = set(seq_trace.channels()) | set(t_trace.channels())
-        t_channels_equal = all(
-            seq_trace.times(*channel) == t_trace.times(*channel)
-            for channel in t_channels
-        )
-        verdict.update({
-            "traced_mode": episode.mode,
-            "traced_events": episode.events,
-            "traced_channels_equal": t_channels_equal,
-            "traced_violations_equal": (
-                len(seq_sim.violations) == len(episode.violations)
-            ),
-            "traced_margins_equal": (
-                dict(seq_sim.margins) == episode.margins
-            ),
-            "traced_fires_equal": seq_fires == traced_fires,
-            "traced_now_equal": seq_sim.now == episode.final_time_ps,
-            "traced_events_equal": (
-                seq_sim.events_processed == episode.events
-            ),
-            "traced_injection_log_equal": (
-                seq_sim.injection_log() == episode.injection_log
-                and seq_sim.fault_counts() == episode.fault_counts
-            ),
-        })
-        verdict["traced_equal"] = (
-            t_channels_equal
-            and verdict["traced_violations_equal"]
-            and verdict["traced_margins_equal"]
-            and verdict["traced_fires_equal"]
-            and verdict["traced_now_equal"]
-            and verdict["traced_events_equal"]
-            and verdict["traced_injection_log_equal"]
-        )
-        verdict["equivalent"] = (
-            verdict["equivalent"] and verdict["traced_equal"]
-        )
+        ),
+        "traced_violations_equal": (
+            len(sim.violations) == len(episode.violations)
+        ),
+        "traced_margins_equal": dict(sim.margins) == episode.margins,
+        "traced_fires_equal": (
+            fires == [list(chip_t.fire_times(j)) for j in range(n)]
+        ),
+        "traced_now_equal": sim.now == episode.final_time_ps,
+        "traced_events_equal": sim.events_processed == episode.events,
+        "traced_injection_log_equal": (
+            sim.injection_log() == episode.injection_log
+            and sim.fault_counts() == episode.fault_counts
+        ),
+    }
+    verdict["equivalent"] = all(
+        value for key, value in verdict.items()
+        if key.startswith("traced_") and key.endswith("_equal")
+    )
     return verdict
 
 

@@ -277,6 +277,9 @@ class ChaosProxy:
                 daemon=True,
             )
             with self._lock:
+                # Forget finished connections so a long-lived proxy
+                # tracks only the live ones; close() joins those.
+                self._threads = [t for t in self._threads if t.is_alive()]
                 self._threads.append(worker)
             worker.start()
 

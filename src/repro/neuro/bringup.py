@@ -63,9 +63,6 @@ def two_npe_bringup_trace(
     sc_per_npe: int = 4,
     jitter_ps: float = 0.0,
     seed: Optional[int] = None,
-    engine: str = "sequential",
-    parts: int = 2,
-    jitter_mode: Optional[str] = None,
 ) -> PulseTrace:
     """Pulse trace of a canonical 2-NPE bring-up script (Fig. 16 path).
 
@@ -77,32 +74,10 @@ def two_npe_bringup_trace(
     :class:`~repro.rsfq.waveform.PulseTrace` is bit-reproducible, which
     makes it the reference artefact for the golden-trace snapshot tests;
     with jitter it is deterministic per seed.
-
-    ``engine="parallel"`` runs the identical script on the partitioned
-    :class:`~repro.rsfq.parallel.ParallelSimulator` (cut along the chip's
-    mesh wires into ``parts`` partitions) -- the golden-equivalence tests
-    compare the two engines' traces on this very artefact.  For jittered
-    sequential runs, ``jitter_mode`` selects the stream discipline
-    (default ``"global"``, the legacy golden-jitter behaviour; use
-    ``"wire"`` to match the parallel engine draw-for-draw).
     """
-    from repro.errors import ConfigurationError
-
     chip = GateLevelChip(ChipConfig(n=1, sc_per_npe=sc_per_npe))
     trace = PulseTrace()
-    if engine == "parallel":
-        sim = chip.parallel_simulator(
-            parts=parts, jitter_ps=jitter_ps, seed=seed, trace=trace,
-        )
-    elif engine == "sequential":
-        kwargs = {} if jitter_mode is None else {"jitter_mode": jitter_mode}
-        sim = chip.simulator(
-            jitter_ps=jitter_ps, seed=seed, trace=trace, **kwargs
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown engine '{engine}'; use 'sequential' or 'parallel'"
-        )
+    sim = chip.simulator(jitter_ps=jitter_ps, seed=seed, trace=trace)
     driver = ChipDriver(chip, sim)
     driver.begin_timestep([2])
     driver.configure_weights([[1]])

@@ -10,7 +10,7 @@ network.
 
 from __future__ import annotations
 
-from typing import List, MutableMapping, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rsfq import library
@@ -19,42 +19,24 @@ from repro.rsfq.netlist import Netlist
 #: (cell, port) endpoint.
 Endpoint = Tuple[object, str]
 
-#: Cell-name -> partition-group mapping accumulated by the builders (the
-#: hint format consumed by :func:`repro.rsfq.partition.partition_netlist`).
-HintMap = MutableMapping[str, object]
-
 
 def fanout_tree(
     net: Netlist,
     name: str,
     n: int,
     wire_delay: float = 1.0,
-    hints: Optional[HintMap] = None,
-    group: object = None,
 ) -> Tuple[Endpoint, List[Endpoint]]:
     """Build an SPL tree duplicating one input pulse onto ``n`` outputs.
 
     Returns ``(input_endpoint, output_endpoints)`` where each endpoint is a
     ``(cell, port)`` pair.  For ``n == 1`` a JTL passthrough is used.
-
-    When ``hints`` is given, every cell the tree adds is recorded under
-    ``group`` (defaulting to ``name``), so structural builders accumulate
-    the partition hints consumed by
-    :func:`repro.rsfq.partition.partition_netlist` -- a tree is an
-    indivisible structure and must never be cut internally.
     """
     if n < 1:
         raise ConfigurationError("fanout_tree needs n >= 1")
-    if group is None:
-        group = name
     if n == 1:
         jtl = net.add(library.JTL(f"{name}.thru"))
-        if hints is not None:
-            hints[jtl.name] = group
         return (jtl, "din"), [(jtl, "dout")]
     spl = net.add(library.SPL(f"{name}.spl"))
-    if hints is not None:
-        hints[spl.name] = group
     left_n = (n + 1) // 2
     right_n = n - left_n
     outputs: List[Endpoint] = []
@@ -63,8 +45,7 @@ def fanout_tree(
             outputs.append((spl, port))
         else:
             sub_in, sub_outs = fanout_tree(
-                net, f"{name}.{side}", count, wire_delay,
-                hints=hints, group=group,
+                net, f"{name}.{side}", count, wire_delay
             )
             net.connect(spl, port, sub_in[0], sub_in[1], delay=wire_delay)
             outputs.extend(sub_outs)
@@ -76,27 +57,18 @@ def merge_tree(
     name: str,
     n: int,
     wire_delay: float = 1.0,
-    hints: Optional[HintMap] = None,
-    group: object = None,
 ) -> Tuple[List[Endpoint], Endpoint]:
     """Build a CB tree merging ``n`` input lines onto one output.
 
     Returns ``(input_endpoints, output_endpoint)``.  For ``n == 1`` a JTL
-    passthrough is used.  ``hints``/``group`` record partition hints
-    exactly as in :func:`fanout_tree`.
+    passthrough is used.
     """
     if n < 1:
         raise ConfigurationError("merge_tree needs n >= 1")
-    if group is None:
-        group = name
     if n == 1:
         jtl = net.add(library.JTL(f"{name}.thru"))
-        if hints is not None:
-            hints[jtl.name] = group
         return [(jtl, "din")], (jtl, "dout")
     cb = net.add(library.CB(f"{name}.cb"))
-    if hints is not None:
-        hints[cb.name] = group
     left_n = (n + 1) // 2
     right_n = n - left_n
     inputs: List[Endpoint] = []
@@ -105,8 +77,7 @@ def merge_tree(
             inputs.append((cb, port))
         else:
             sub_ins, sub_out = merge_tree(
-                net, f"{name}.{side}", count, wire_delay,
-                hints=hints, group=group,
+                net, f"{name}.{side}", count, wire_delay
             )
             net.connect(sub_out[0], sub_out[1], cb, port, delay=wire_delay)
             inputs.extend(sub_ins)

@@ -43,8 +43,6 @@ from repro.rsfq.faults import (
     fault_site_rng,
 )
 from repro.rsfq.netlist import FanoutTable, Netlist, Wire
-from repro.rsfq.parallel import ParallelSimulator
-from repro.rsfq.partition import Partition, PartitionPlan, partition_netlist
 from repro.rsfq.session import RunResult, SessionStats, SimulationSession
 from repro.rsfq.simulator import (
     JITTER_MODES,
@@ -83,10 +81,6 @@ __all__ = [
     "FanoutTable",
     "Wire",
     "Simulator",
-    "ParallelSimulator",
-    "Partition",
-    "PartitionPlan",
-    "partition_netlist",
     "JITTER_MODES",
     "wire_jitter_rng",
     "FAULT_KINDS",

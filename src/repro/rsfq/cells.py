@@ -176,8 +176,7 @@ class Cell:
         buffers, probes) have nothing to trap and return False.  Called by
         the :mod:`repro.rsfq.faults` machinery immediately before the
         affected pulse arrival is processed, so corruption is ordered like
-        any other event and stays bit-identical between the sequential and
-        partitioned engines.
+        any other event.
 
         Returns True when the cell had state to corrupt.
         """

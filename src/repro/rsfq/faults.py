@@ -15,11 +15,12 @@ This module models all five as a composable :class:`FaultModel` attached to
   ``jitter_mode="wire"``.  Because every wire is driven by a single output
   port (RSFQ fan-out is one), the k-th pulse on a wire always consumes that
   wire's k-th draws, so fault outcomes are independent of global event
-  interleaving and **bit-identical between the sequential and the
-  partitioned parallel engine** for any seed;
+  interleaving and **bit-identical between the event loop and the trace
+  engine** (:mod:`repro.rsfq.trace`) for any seed;
 * every injected fault is appended to an **injection log**
   (:class:`InjectionRecord`); :func:`canonical_log` produces an
-  engine-independent ordering so serial and parallel logs compare equal;
+  engine-independent ordering so event-loop and traced logs compare
+  equal;
 * the zero-fault configuration stays on the engine's allocation-free fast
   path: the simulator binds its faulty delivery variant only when a model
   with at least one spec is attached (construction-time specialisation,
@@ -83,8 +84,8 @@ def fault_site_rng(seed, site: str) -> random.Random:
     """The deterministic fault stream of one site (wire or cell).
 
     String seeding uses CPython's stable sha512-based path, so the stream
-    depends only on ``(seed, site)`` -- never on hash randomisation, event
-    interleaving, or which partition the site landed in.  Fault streams
+    depends only on ``(seed, site)`` -- never on hash randomisation or
+    event interleaving.  Fault streams
     are namespaced apart from the ``jitter_mode="wire"`` streams so
     attaching a fault model never perturbs jitter draws (and vice versa).
     """
@@ -121,8 +122,8 @@ def canonical_log(records: Sequence[InjectionRecord]) -> Tuple[InjectionRecord, 
 
     Within one site and kind, ordinals follow pulse order along that site
     (identical in both engines); across sites, ``(time, site, kind,
-    ordinal)`` is a total order, so the canonical logs of a sequential and
-    a partitioned run of the same seeded workload compare equal.
+    ordinal)`` is a total order, so the canonical logs of an event-loop and
+    a traced run of the same seeded workload compare equal.
     """
     return tuple(sorted(records, key=InjectionRecord.sort_key))
 
@@ -143,8 +144,8 @@ class FaultSpec:
             string (see :meth:`repro.rsfq.netlist.FanoutTable.wire_key`,
             without the ``#id`` suffix).  ``None`` targets every wire.
         delay_ps: Echo offset for ``pulse_duplicate`` / added latency for
-            ``extra_delay`` (must be >= 0 so the parallel engine's
-            conservative lookahead stays valid).
+            ``extra_delay`` (must be >= 0: a fault cannot deliver a
+            pulse before it was sent).
     """
 
     kind: str
@@ -166,7 +167,7 @@ class FaultSpec:
         if self.delay_ps < 0.0:
             raise FaultInjectionError(
                 f"{self.kind}: delay_ps must be >= 0 (negative extra delay "
-                "would break the parallel engine's conservative lookahead)"
+                "would deliver a pulse before it was sent)"
             )
         if self.cells is not None:
             object.__setattr__(self, "cells", frozenset(self.cells))
@@ -194,8 +195,7 @@ class FaultModel:
     re-seed cheaply (:meth:`reseeded`) -- the campaign harness sweeps
     ``FaultModel.single(kind, p).reseeded(trial_seed)`` grids.  A model is
     *config only*: every simulator binds its own mutable runtime state, so
-    one model can back many engines (including the per-partition local
-    engines of the parallel simulator) without sharing streams.
+    one model can back many engines without sharing streams.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed=0,
@@ -268,8 +268,7 @@ class _FluxTrapProxy:
     Queue entries normally index the fan-out table's cell list; a trapped
     pulse instead indexes one of these proxies (appended past the real
     cells in the simulator's cell view), so the corruption executes at the
-    pulse's *arrival* time, in event order -- which is what keeps trapped
-    runs bit-identical between the sequential and partitioned engines.
+    pulse's *arrival* time, in event order, like any other arrival.
     """
 
     __slots__ = ("target", "name")
@@ -307,10 +306,6 @@ class BoundFaults:
         #: ordinal counters.
         self._streams: Dict[int, random.Random] = {}
         self._ordinals: Dict[Tuple[str, str], int] = {}
-        #: Cells whose bind-time stuck marks this runtime logs (None =
-        #: all; the partitioned engine restricts each local runtime to
-        #: its own partition so the merged logs equal the sequential one).
-        self._owned: Optional[frozenset] = None
 
         self._validate_targets(model, fanout)
 
@@ -327,7 +322,7 @@ class BoundFaults:
 
         # Stuck cells: one bind-time draw per candidate, from the cell's
         # own stream -- deterministic per (seed, cell name), so identical
-        # across engines and partition counts.
+        # across engines.
         stuck: set = set()
         for spec in model.specs:
             if spec.kind != "stuck_cell":
@@ -407,45 +402,11 @@ class BoundFaults:
         ))
 
     def _log_stuck_marks(self) -> None:
-        """Log the bind-time stuck marks (restricted to owned cells when a
-        partition restriction is in force)."""
-        owned = self._owned
+        """Log the bind-time stuck marks, in cell-name order."""
         for name in sorted(
             self.fanout.cell_list[idx].name for idx in self.stuck
         ):
-            if owned is not None and name not in owned:
-                continue
             self._record(0.0, "stuck_cell", name, name)
-
-    def restrict_stuck_marks(self, owned) -> None:
-        """Log bind-time stuck marks only for the cells in ``owned``.
-
-        The partitioned engine binds one runtime per partition over the
-        *same* model; without this restriction every partition would log
-        (and count) the full stuck set, so the merged injection log would
-        hold ``n_partitions`` copies of each bind mark.  Restricting each
-        runtime to its partition's cells makes the merged log/counts equal
-        the sequential engine's.  The stuck *behaviour* stays global --
-        every runtime swallows pulses into any stuck cell, whichever
-        partition it lives in.
-        """
-        self._owned = frozenset(owned)
-        kept = []
-        removed = 0
-        for rec in self.log:
-            if rec.kind == "stuck_cell" and rec.site == rec.cell:
-                removed += 1
-                self._ordinals.pop((rec.site, rec.kind), None)
-            else:
-                kept.append(rec)
-        self.log[:] = kept
-        if removed:
-            remaining = self.counts.get("stuck_cell", 0) - removed
-            if remaining > 0:
-                self.counts["stuck_cell"] = remaining
-            else:
-                self.counts.pop("stuck_cell", None)
-        self._log_stuck_marks()
 
     def injections(self) -> int:
         """Total injected faults (including suppressed log entries)."""
@@ -534,8 +495,7 @@ class BoundFaults:
         """Swallow (and log) an external stimulus aimed at a stuck cell.
 
         Returns True when the pulse must not be scheduled.  Decided purely
-        from the bind-time stuck set, so the verdict is identical however
-        the netlist is partitioned.
+        from the bind-time stuck set.
         """
         if cell_idx not in self.stuck:
             return False

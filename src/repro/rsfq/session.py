@@ -96,16 +96,9 @@ class SimulationSession:
         record_traces: When True, each run gets a fresh
             :class:`~repro.rsfq.waveform.PulseTrace` attached to its
             :class:`RunResult`.
-        parallel_parts: When >= 2, runs execute on the partitioned
-            :class:`~repro.rsfq.parallel.ParallelSimulator` with that
-            many partitions (results are bit-identical to sequential
-            runs at ``jitter_ps=0`` and, with ``jitter_mode="wire"``,
-            under jitter too).
-        partition_hints: Optional cell -> group hints forwarded to the
-            partitioner (e.g. ``GateLevelChip.partition_hints()``).
-        jitter_mode: Jitter stream discipline for sequential runs
-            (``None`` keeps the engine default: ``"global"`` sequential,
-            ``"wire"`` parallel).
+        jitter_mode: Jitter stream discipline (``None`` keeps the
+            :class:`~repro.rsfq.simulator.Simulator` default,
+            ``"global"``).
         faults: Optional :class:`~repro.rsfq.faults.FaultModel` attached
             to every run's simulator (the model carries its own decision
             seed; reseed it per trial with
@@ -116,8 +109,8 @@ class SimulationSession:
             schedules from the record-once / replay-vectorized trace
             layer (:mod:`repro.rsfq.trace`) with transparent, counted
             fallback to the event engine whenever replay cannot
-            reproduce the run bit-for-bit (``until=`` horizons,
-            parallel sessions, fault triggers, ordering divergence).
+            reproduce the run bit-for-bit (``until=`` horizons, fault
+            triggers, ordering divergence).
         trace_cache: Optional on-disk cache for compiled traces when
             ``engine="traced"`` -- ``None`` (in-memory only),
             ``"default"`` (the shared plan-cache root), or a
@@ -133,8 +126,6 @@ class SimulationSession:
         jitter_ps: float = 0.0,
         seed: Optional[int] = None,
         record_traces: bool = False,
-        parallel_parts: int = 0,
-        partition_hints: Optional[dict] = None,
         jitter_mode: Optional[str] = None,
         faults=None,
         engine: Optional[str] = None,
@@ -155,8 +146,6 @@ class SimulationSession:
         self.jitter_ps = float(jitter_ps)
         self.seed = seed
         self.record_traces = record_traces
-        self.parallel_parts = int(parallel_parts)
-        self.partition_hints = partition_hints
         self.jitter_mode = jitter_mode
         self.faults = faults
         self.stats = SessionStats()
@@ -167,23 +156,6 @@ class SimulationSession:
         self._runs = 0
 
     def _make_simulator(self, trace, run_seed):
-        if self.parallel_parts >= 2:
-            from repro.rsfq.parallel import ParallelSimulator
-
-            kwargs = {}
-            if self.jitter_mode is not None:
-                kwargs["jitter_mode"] = self.jitter_mode
-            return ParallelSimulator(
-                self.netlist,
-                parts=self.parallel_parts,
-                hints=self.partition_hints,
-                strict=self.strict,
-                trace=trace,
-                jitter_ps=self.jitter_ps,
-                seed=run_seed,
-                faults=self.faults,
-                **kwargs,
-            )
         kwargs = {}
         if self.jitter_mode is not None:
             kwargs["jitter_mode"] = self.jitter_mode
@@ -226,7 +198,7 @@ class SimulationSession:
         run_seed,
     ) -> Optional[RunResult]:
         """Serve one run from the trace layer, or None for fallback."""
-        if until is not None or self.parallel_parts >= 2:
+        if until is not None:
             from repro.rsfq.trace import GLOBAL_TRACE_COUNTERS
 
             GLOBAL_TRACE_COUNTERS.inc("fallbacks")

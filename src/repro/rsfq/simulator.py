@@ -17,8 +17,8 @@ the benchmark.  The hot path therefore
   dispatches to trace / no-trace loop variants.
 
 See ``docs/ENGINE.md`` for the architecture overview and
-:mod:`repro.rsfq.parallel` for the partitioned parallel engine layered on
-top of the same primitives.
+:mod:`repro.rsfq.trace` for the record-once / replay-vectorized engine
+that is cross-checked against this one.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ def wire_jitter_rng(seed, wire_key: str) -> random.Random:
 
     Seeding :class:`random.Random` with a *string* uses CPython's stable
     (sha512-based) seeding, so the stream depends only on ``(seed,
-    wire_key)`` -- never on hash randomisation, execution order, or which
-    partition the wire's source cell lives in.  This is what makes
-    jittered runs bit-identical between :class:`Simulator` and
-    :class:`repro.rsfq.parallel.ParallelSimulator`.
+    wire_key)`` -- never on hash randomisation or execution order.  This
+    is what makes jittered runs bit-identical between :class:`Simulator`
+    and the vectorized replays of :class:`repro.rsfq.trace.TraceEngine`.
     """
     return random.Random(f"{seed!r}|{wire_key}")
 
@@ -130,9 +129,9 @@ class Simulator:
               ``(seed, wire identity)`` via :func:`wire_jitter_rng` -- the
               k-th pulse on a wire always gets that wire's k-th draw, so
               jittered results are independent of event interleaving and
-              bit-identical between the sequential and the partitioned
-              parallel engine.  With ``seed=None`` the mode behaves as a
-              fixed default seed (still deterministic).
+              bit-identical between the event loop and trace replay.
+              With ``seed=None`` the mode behaves as a fixed default seed
+              (still deterministic).
 
     The simulator resolves the netlist's routing through
     :meth:`Netlist.elaborate`, so the per-pulse hot path performs integer
@@ -210,11 +209,11 @@ class Simulator:
         ``faults=None`` (or an empty model) keeps the allocation-free fast
         path byte-for-byte.
 
-        When the instance has not overridden ``_deliver_ideal`` (the
-        partitioned engine's local engines do, to route cross-partition
-        pulses), the ideal variant is further specialised to push entries
-        straight onto the underlying heap, skipping the queue's
-        Python-level ``push`` wrapper.
+        When the instance has not overridden ``_deliver_ideal`` (the trace
+        layer's recording simulator does, to log causal edges), the ideal
+        variant is further specialised to push entries straight onto the
+        underlying heap, skipping the queue's Python-level ``push``
+        wrapper.
         """
         if self._fault_runtime is not None:
             if self.jitter_ps > 0.0 and self.jitter_mode != "wire":
@@ -222,7 +221,7 @@ class Simulator:
                     "fault injection with jitter requires "
                     "jitter_mode='wire': the legacy global jitter stream "
                     "is consumed in delivery order and cannot be "
-                    "reproduced under faults or partitioned execution"
+                    "reproduced under faults"
                 )
             self.deliver = self._deliver_faulty
         elif self.jitter_ps <= 0.0:
@@ -355,18 +354,16 @@ class Simulator:
         Per route: draw the (optional) per-wire jitter, then let the bound
         fault runtime decide the pulse's fate -- drop it, delay it, spawn
         an echo, reroute it through a flux-trap proxy, or swallow it at a
-        stuck cell -- and push whatever survives via
-        :meth:`_dispatch_entry` (overridden by the partitioned engine's
-        local loops for ownership-aware routing).  All decision streams
-        are per-wire and consumed in pulse order, so faulty runs stay
-        bit-identical between the sequential and partitioned engines.
+        stuck cell -- and push whatever survives.  All decision streams
+        are per-wire and consumed in pulse order, so faulty runs do not
+        depend on event interleaving.
         """
         routes = self._fanout.routes_idx.get((cell.name, port))
         if not routes:
             return
         fr = self._fault_runtime
         sigma = self.jitter_ps
-        dispatch = self._dispatch_entry
+        push = self.queue.push
         if sigma > 0.0:
             rngs = self._wire_rngs
             fanout = self._fanout
@@ -382,22 +379,13 @@ class Simulator:
                 for entry in fr.route_pulse(
                     wid, dst_idx, dst_port_idx, time + jittered
                 ):
-                    dispatch(entry, dst_idx)
+                    push(*entry)
         else:
             for dst_idx, dst_port_idx, delay, wid in routes:
                 for entry in fr.route_pulse(
                     wid, dst_idx, dst_port_idx, time + delay
                 ):
-                    dispatch(entry, dst_idx)
-
-    def _dispatch_entry(self, entry, dst_idx: int) -> None:
-        """Push one fault-processed ``(time, view_idx, port_idx)`` entry.
-
-        ``dst_idx`` is the *real* destination cell index (``view_idx`` may
-        address a flux-trap proxy); the partitioned engine's local loops
-        override this to route by the owner of ``dst_idx``.
-        """
-        self.queue.push(*entry)
+                    push(*entry)
 
     # ``deliver`` is rebound per instance; this definition keeps the
     # method documented and subclass-overridable.

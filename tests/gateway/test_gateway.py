@@ -8,8 +8,10 @@ deadlines get **504** -- each with the matching typed
 ``sushi_gateway_rejections_total`` counter in ``/metrics``.
 """
 
+import asyncio
 import json
 import re
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -590,3 +592,45 @@ class TestDrainLifecycle:
             status, payload = call(gateway, "POST", "/drain", body=b"")
         assert status == 401
         assert payload["error"]["code"] == "missing_api_key"
+
+
+class TestServeForever:
+    """``serve_forever`` (the CLI path) stops the listener on
+    cancellation and then lets the cancellation propagate."""
+
+    @staticmethod
+    def _run(compiled, scenario):
+        server = InferenceServer(compiled=compiled).start()
+        gateway = Gateway(server, authenticator=ApiKeyAuthenticator(TENANTS))
+        try:
+            return gateway, asyncio.run(scenario(gateway))
+        finally:
+            server.stop()
+
+    @staticmethod
+    def _refused(port):
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+        except ConnectionRefusedError:
+            return True
+        return False
+
+    def test_wait_for_raises_timeout(self, compiled):
+        async def scenario(gateway):
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(gateway.serve_forever(), 0.2)
+
+        gateway, _ = self._run(compiled, scenario)
+        assert self._refused(gateway.port)
+
+    def test_cancelled_task_reads_cancelled(self, compiled):
+        async def scenario(gateway):
+            task = asyncio.create_task(gateway.serve_forever())
+            await asyncio.sleep(0.2)  # let it bind and start serving
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            return task
+
+        gateway, task = self._run(compiled, scenario)
+        assert task.cancelled()
+        assert self._refused(gateway.port)

@@ -2,8 +2,8 @@
 
 Contract: campaigns are bit-deterministic given their seed, the p=0
 baseline is perfectly clean, BER degrades monotonically in fault
-probability for the drop process, and the sequential / partitioned
-engines measure identical campaign numbers.
+probability for the drop process, and the event and traced engines
+measure identical campaign numbers.
 """
 
 import json
@@ -94,17 +94,6 @@ class TestCampaignProperties:
         assert [pt.to_row() for pt in again.points] == \
             [pt.to_row() for pt in small_result.points]
 
-    def test_parallel_engine_measures_identical_numbers(self, small_result):
-        par = run_resilience_campaign(
-            CampaignConfig(
-                kinds=SMALL.kinds, probabilities=SMALL.probabilities,
-                trials=SMALL.trials, chain_length=SMALL.chain_length,
-                n_pulses=SMALL.n_pulses, parallel_parts=3,
-            )
-        )
-        assert [pt.to_row() for pt in par.points] == \
-            [pt.to_row() for pt in small_result.points]
-
     def test_jitter_axis_is_swept(self):
         result = run_resilience_campaign(CampaignConfig(
             kinds=("pulse_drop",), probabilities=(0.0,),
@@ -177,5 +166,3 @@ class TestTracedCampaignEngine:
     def test_engine_field_validated(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             CampaignConfig(engine="warp")
-        with pytest.raises(ConfigurationError, match="mutually"):
-            CampaignConfig(engine="traced", parallel_parts=2)

@@ -11,9 +11,14 @@ from repro.harness import (
     run_differential,
     run_gate_level_differential,
 )
-from repro.harness.differential import ENGINES, EngineComparison, _compare
+from repro.harness.differential import (
+    ENGINES,
+    EngineComparison,
+    _compare,
+    run_traced_gate_differential,
+)
 from repro.harness.regression import MetricSnapshot, compare
-from repro.rsfq.faults import FaultModel
+from repro.rsfq.faults import FAULT_KINDS, FaultModel
 from repro.ssnn.bucketing import required_capacity
 from repro.ssnn.runtime import RuntimeResult
 
@@ -221,59 +226,44 @@ class TestCompiledDifferential:
 
 
 class TestTracedGateDifferential:
-    """The traced replay engine folded into the gate-level differential
-    (issue 7 acceptance: bit-identical, fallback allowed, wrong answers
-    not)."""
+    """The trace engine cross-checks the gate-level event engine:
+    bit-identical physics, fallback allowed, wrong answers not."""
 
     def test_ideal_workload_replays_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
-
-        verdict = run_parallel_gate_differential(
-            seed=0, engines=("sequential", "parallel", "traced")
-        )
+        verdict = run_traced_gate_differential(seed=0)
         assert verdict["equivalent"], verdict
-        assert verdict["traced_equal"]
         assert verdict["traced_mode"] == "replay"
         assert verdict["traced_channels_equal"]
         assert verdict["traced_events_equal"]
+        assert verdict["traced_events"] == verdict["events"] > 0
 
     def test_wire_jitter_replays_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
-
-        verdict = run_parallel_gate_differential(
-            seed=1, jitter_ps=0.3,
-            engines=("sequential", "parallel", "traced"),
-        )
+        verdict = run_traced_gate_differential(seed=1, jitter_ps=0.3)
         assert verdict["equivalent"], verdict
         assert verdict["traced_mode"] == "replay"
 
     def test_faulted_workload_falls_back_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
-        from repro.rsfq import FaultModel
-
         model = FaultModel.single("pulse_drop", probability=1.0, seed=9)
-        verdict = run_parallel_gate_differential(
-            seed=3, faults=model,
-            engines=("sequential", "parallel", "traced"),
-        )
+        verdict = run_traced_gate_differential(seed=3, faults=model)
         assert verdict["equivalent"], verdict
         assert verdict["traced_mode"] == "fallback"
         assert verdict["injections"] > 0
         assert verdict["traced_injection_log_equal"]
 
-    def test_traced_without_parallel_leg(self):
-        from repro.harness.differential import run_parallel_gate_differential
+    @pytest.mark.parametrize("jitter_ps", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equivalent_across_seeds(self, seed, jitter_ps):
+        verdict = run_traced_gate_differential(seed=seed, jitter_ps=jitter_ps)
+        assert verdict["equivalent"], verdict
+        if jitter_ps == 0.0:
+            assert verdict["traced_mode"] == "replay"
 
-        verdict = run_parallel_gate_differential(
-            seed=0, engines=("sequential", "traced")
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equivalent_under_every_fault_kind(self, seed, kind):
+        model = FaultModel.single(kind, probability=0.1, seed=seed)
+        verdict = run_traced_gate_differential(
+            seed=seed, jitter_ps=0.4, faults=model
         )
-        assert verdict["equivalent"]
-        assert "partitions" not in verdict
-
-    def test_sequential_baseline_is_mandatory(self):
-        from repro.harness.differential import run_parallel_gate_differential
-
-        with pytest.raises(ConfigurationError, match="baseline"):
-            run_parallel_gate_differential(engines=("traced",))
-        with pytest.raises(ConfigurationError, match="unknown engines"):
-            run_parallel_gate_differential(engines=("sequential", "warp"))
+        assert verdict["equivalent"], verdict
+        assert verdict["injections"] > 0

@@ -248,6 +248,16 @@ class TestLifecycle:
         assert time.monotonic() - start < 5.0
         sock.close()
 
+    def test_finished_connection_threads_are_pruned(self, upstream):
+        with ChaosProxy(upstream.address) as proxy:
+            for k in range(100):
+                payload = b"ping %d" % k
+                assert _roundtrip(proxy.port, payload) == payload
+            assert proxy.stats()["connections"] == 100
+            # Each handler exits once both of its pumps see EOF; the
+            # next accept drops it from the tracked list.
+            assert len(proxy._threads) <= 10
+
     def test_close_is_idempotent(self, upstream):
         proxy = ChaosProxy(upstream.address).start()
         proxy.close()

@@ -90,30 +90,6 @@ class TestJitterDeterminism:
         assert two_npe_bringup_trace(jitter_ps=0.0, seed=123) == golden_trace
 
 
-class TestParallelEquivalence:
-    """The parallel engine must reproduce the golden trace bit-for-bit."""
-
-    def test_parallel_bringup_matches_golden_exactly(self, golden_trace):
-        trace = two_npe_bringup_trace(engine="parallel", parts=2)
-        assert trace.events() == golden_trace.events()
-        assert trace == golden_trace
-
-    def test_parallel_matches_sequential_under_jitter(self):
-        # Per-wire jitter streams are keyed by wire identity, so the
-        # sequential engine (in jitter_mode="wire") and the partitioned
-        # engine consume identical streams.
-        seq = two_npe_bringup_trace(jitter_ps=1.0, seed=5,
-                                    jitter_mode="wire")
-        par = two_npe_bringup_trace(jitter_ps=1.0, seed=5,
-                                    engine="parallel", parts=2)
-        assert par == seq
-        assert par.events() == seq.events()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            two_npe_bringup_trace(engine="gpu")
-
-
 class TestPayloadValidation:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ConfigurationError):

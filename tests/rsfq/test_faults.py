@@ -4,9 +4,9 @@ Contract under test (see ``docs/FAULTS.md``): fault decisions come from
 deterministic per-site streams, so the same seeded model produces the
 same injections -- the same pulses dropped / duplicated / delayed, the
 same cells stuck or trapped, and the same canonical injection log --
-in every fresh simulator, independent of the executor and (via the
-parallel tests) the partitioning.  The zero-fault configuration must stay
-on the engine's specialised fast path.
+in every fresh simulator and (via the traced gate differential) in the
+trace engine.  The zero-fault configuration must stay on the engine's
+specialised fast path.
 """
 
 import pytest
@@ -285,17 +285,16 @@ class TestDeterminism:
         second = (list(probe.times), sim.injection_log(), sim.fault_counts())
         assert second == first
 
-    def test_restrict_stuck_marks_preserved_across_reset(self):
+    def test_stuck_bind_marks_relogged_after_reset(self):
         net, cells, probe = chain(n=3)
         model = FaultModel.single("stuck_cell", 1.0, cells={"j1", "j2"})
         sim = Simulator(net, faults=model)
-        runtime = sim._fault_runtime
-        runtime.restrict_stuck_marks({"j1"})
-        marks = [r for r in runtime.log if r.site == r.cell]
-        assert [r.cell for r in marks] == ["j1"]
+        marks = [r.cell for r in sim.injection_log() if r.site == r.cell]
+        assert marks == ["j1", "j2"]
         sim.reset()
-        marks = [r for r in sim._fault_runtime.log if r.site == r.cell]
-        assert [r.cell for r in marks] == ["j1"]
+        assert [r.cell for r in sim.injection_log()
+                if r.site == r.cell] == marks
+        assert sim.fault_counts() == {"stuck_cell": 2}
 
 
 class TestGuards:
