@@ -26,6 +26,7 @@ measurement of the optimisation, on the same interpreter, same day.
 
 from __future__ import annotations
 
+import random
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,8 +83,10 @@ class LegacySimulator(Simulator):
         super().__init__(*args, **kwargs)
         # The base class binds ``deliver`` to a jitter-specialised fast
         # variant at construction; rebind to the legacy single variant
-        # with the per-pulse jitter branch inside.
+        # with the per-pulse jitter branch inside, drawing from one
+        # delivery-order stream as the pre-rework engine did.
         self.deliver = self._legacy_deliver
+        self._rng = random.Random(self._seed)
 
     def schedule_input(self, cell, port, time):
         # Same validation as the base class, but queue entries carry the

@@ -51,9 +51,7 @@ class FaultInjectionError(ReproError):
     kind, probability outside ``[0, 1]``, negative delay), when a spec
     targets cells or wires that do not exist in the netlist being bound, or
     when a fault configuration is incompatible with the engine it is
-    attached to (e.g. fault injection combined with the legacy
-    ``jitter_mode="global"`` stream, whose draws depend on the global
-    delivery order).
+    attached to.
     """
 
 

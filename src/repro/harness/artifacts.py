@@ -3,12 +3,14 @@
 Training the reference SNN takes tens of seconds, so trained weights are
 cached under ``<repo>/.cache/repro-sushi/`` keyed by their full
 configuration.  ``get_trained_bundle`` returns the model together with its
-dataset and evaluation metrics, training only on a cache miss.
+dataset and evaluation metrics, training only on a cache miss; an
+unreadable bundle counts as a miss and is overwritten.
 """
 
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,27 +67,47 @@ def _weights_path(key: str) -> str:
 
 def _save_weights(model: SpikingClassifier, path: str,
                   train_accuracy: float) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    """Write the bundle atomically (tmp file + rename, as the plan cache
+    does), so an interrupted save never leaves a torn file behind."""
+    directory, name = os.path.split(path)
+    os.makedirs(directory, exist_ok=True)
     arrays = {"train_accuracy": np.array(train_accuracy)}
     for i, layer in enumerate(model.linear_layers()):
         arrays[f"w{i}"] = layer.weight.numpy()
         if layer.bias is not None:
             arrays[f"b{i}"] = layer.bias.numpy()
-    np.savez(path, **arrays)
+    tmp = os.path.join(directory, f".{name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_weights(model: SpikingClassifier, path: str) -> Optional[float]:
-    if not os.path.exists(path):
+    """Load a cached bundle into ``model`` and return its training
+    accuracy, or None on a miss.  A bundle that is absent, unreadable
+    (not a zip archive, truncated) or shaped for another model is a miss;
+    the model is only touched once the whole bundle has been read."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    with np.load(path) as data:
-        for i, layer in enumerate(model.linear_layers()):
-            key = f"w{i}"
-            if key not in data or data[key].shape != layer.weight.shape:
-                return None
-            layer.weight.data[...] = data[key]
-            if layer.bias is not None and f"b{i}" in data:
-                layer.bias.data[...] = data[f"b{i}"]
-        return float(data["train_accuracy"])
+    layers = model.linear_layers()
+    weights = [arrays.get(f"w{i}") for i in range(len(layers))]
+    if "train_accuracy" not in arrays or any(
+        w is None or w.shape != layer.weight.shape
+        for w, layer in zip(weights, layers)
+    ):
+        return None
+    for i, (w, layer) in enumerate(zip(weights, layers)):
+        layer.weight.data[...] = w
+        if layer.bias is not None and f"b{i}" in arrays:
+            layer.bias.data[...] = arrays[f"b{i}"]
+    return float(arrays["train_accuracy"])
 
 
 def get_trained_bundle(

@@ -53,6 +53,7 @@ from repro.rsfq.faults import FAULT_KINDS, FaultModel
 from repro.rsfq.library import JTL, Probe
 from repro.rsfq.netlist import Netlist
 from repro.rsfq.simulator import Simulator, margin_report_rows
+from repro.rsfq.trace import TraceEngine
 
 __all__ = [
     "CampaignConfig",
@@ -79,13 +80,6 @@ class CampaignConfig:
         n_pulses: Input pulses per trial (= BER bits per trial).
         pulse_interval_ps: Input pulse spacing; also the BER window width.
         fault_delay_ps: ``delay_ps`` for duplicate/extra-delay specs.
-        engine: ``"event"`` (default) runs every trial on the
-            discrete-event engine; ``"traced"`` records the stimulus
-            schedule once and serves repeat trials from the vectorized
-            :class:`~repro.rsfq.trace.TraceEngine` replayer (p=0 /
-            zero-injection trials replay, injecting trials transparently
-            fall back -- results are bit-identical either way; see
-            docs/ENGINE.md).
         max_events: Runaway guard per trial.
         deadline_s: Optional wall-clock guard per trial (see
             :meth:`repro.rsfq.simulator.Simulator.run`).
@@ -100,7 +94,6 @@ class CampaignConfig:
     n_pulses: int = 32
     pulse_interval_ps: float = 200.0
     fault_delay_ps: float = 5.0
-    engine: str = "event"
     max_events: int = 10_000_000
     deadline_s: Optional[float] = None
 
@@ -111,11 +104,6 @@ class CampaignConfig:
                     f"unknown fault kind '{kind}'; "
                     f"available: {list(FAULT_KINDS)}"
                 )
-        if self.engine not in ("event", "traced"):
-            raise ConfigurationError(
-                f"unknown engine '{self.engine}'; "
-                "available: ('event', 'traced')"
-            )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.chain_length < 1:
@@ -311,21 +299,19 @@ def run_resilience_campaign(
     ``(netlist, probe)`` like :func:`build_reference_pipeline` (the
     default).  Each trial constructs a fresh workload so cell state and
     probes never leak between grid points.
+
+    Every trial runs through one :class:`~repro.rsfq.trace.TraceEngine`:
+    the stimulus schedule is identical across trials and grid points, so
+    a single recording serves every zero-injection trial as a vectorized
+    replay, and injecting or divergent trials fall back to the event
+    engine with bit-identical results (see docs/ENGINE.md).
     """
     factory = netlist_factory or (
         lambda: build_reference_pipeline(config.chain_length)
     )
     interval = config.pulse_interval_ps
     result = CampaignResult(config=config)
-
-    trace_engine = None
-    if config.engine == "traced":
-        from repro.rsfq.trace import TraceEngine
-
-        # One engine for the whole campaign: the stimulus schedule is
-        # identical across trials/grid points, so a single recording
-        # serves every zero-injection trial as a vectorized replay.
-        trace_engine = TraceEngine(factory()[0])
+    trace_engine = TraceEngine(factory()[0])
 
     # Chain latency: probe arrival time of an unfaulted pulse, measured
     # once on a clean run (robust to custom factories).
@@ -350,51 +336,27 @@ def run_resilience_campaign(
                         kind, p, config.fault_delay_ps, config.seed, trial
                     )
                     # String seeds use CPython's stable sha512 seeding in
-                    # both the global RNG and the per-wire streams, so
-                    # trial jitter is reproducible across hosts/processes.
+                    # the per-wire streams, so trial jitter is
+                    # reproducible across hosts and processes.
                     jitter_seed = f"campaign-jitter|{config.seed!r}|{trial}"
                     first = next(iter(net.cells))
                     stimuli = [
                         (first, "din", k * interval)
                         for k in range(config.n_pulses)
                     ]
-                    if trace_engine is not None:
-                        episode = trace_engine.run_episode(
-                            (stimuli,), jitter_ps=sigma, seed=jitter_seed,
-                            jitter_mode="wire", faults=model,
-                            max_events=config.max_events,
-                            deadline_s=config.deadline_s,
-                            netlist=net,
-                        )
-                        bits += config.n_pulses
-                        bit_errors += _window_errors(
-                            probe.times, config.n_pulses, interval, latency
-                        )
-                        injections += sum(episode.fault_counts.values())
-                        violations += len(episode.violations)
-                        events += episode.events
-                        for row in margin_report_rows(episode.margins):
-                            slack = row["slack_ps"]
-                            if worst_slack is None or slack < worst_slack:
-                                worst_slack = slack
-                        continue
-                    trial_sim = Simulator(
-                        net, jitter_ps=sigma, seed=jitter_seed,
-                        jitter_mode="wire", faults=model,
+                    episode = trace_engine.run_episode(
+                        (stimuli,), jitter_ps=sigma, seed=jitter_seed,
+                        faults=model, max_events=config.max_events,
+                        deadline_s=config.deadline_s, netlist=net,
                     )
-                    stats = trial_sim.run_batch(
-                        [stimuli],
-                        max_events=config.max_events,
-                        deadline_s=config.deadline_s,
-                    )[0]
                     bits += config.n_pulses
                     bit_errors += _window_errors(
                         probe.times, config.n_pulses, interval, latency
                     )
-                    injections += sum(trial_sim.fault_counts().values())
-                    violations += stats.violations
-                    events += stats.events
-                    for row in trial_sim.margin_report():
+                    injections += sum(episode.fault_counts.values())
+                    violations += len(episode.violations)
+                    events += episode.events
+                    for row in margin_report_rows(episode.margins):
                         slack = row["slack_ps"]
                         if worst_slack is None or slack < worst_slack:
                             worst_slack = slack

@@ -567,8 +567,8 @@ def run_traced_gate_differential(
     Drives a fresh ``n x n`` :class:`GateLevelChip` through a seeded
     protocol (random thresholds, weights, spike patterns and polarities)
     on a :class:`~repro.rsfq.trace.ScheduleRecorder` -- the sequential
-    :class:`~repro.rsfq.simulator.Simulator` in ``jitter_mode="wire"``,
-    which also logs every scheduled stimulus -- then replays the captured
+    :class:`~repro.rsfq.simulator.Simulator`, which also logs every
+    scheduled stimulus -- then replays the captured
     schedule through :class:`~repro.rsfq.trace.TraceEngine` on a second
     fresh chip and compares the physics bit-for-bit: per-channel pulse
     times, violation counts, margin tables, per-column fire times, final
@@ -606,7 +606,7 @@ def run_traced_gate_differential(
     trace = PulseTrace()
     sim = ScheduleRecorder(
         chip.net, trace=trace, jitter_ps=jitter_ps, seed=seed,
-        jitter_mode="wire", faults=faults,
+        faults=faults,
     )
     driver = ChipDriver(chip, sim)
     driver.begin_timestep(thresholds)
@@ -620,8 +620,7 @@ def run_traced_gate_differential(
     chip_t = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
     episode = TraceEngine(chip_t.net).run_episode(
         sim.captured_segments(),
-        jitter_ps=jitter_ps, seed=seed, jitter_mode="wire",
-        faults=faults, want_trace=True,
+        jitter_ps=jitter_ps, seed=seed, faults=faults, want_trace=True,
     )
     t_trace = episode.trace
     channels = set(trace.channels()) | set(t_trace.channels())

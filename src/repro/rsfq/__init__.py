@@ -43,13 +43,7 @@ from repro.rsfq.faults import (
     fault_site_rng,
 )
 from repro.rsfq.netlist import FanoutTable, Netlist, Wire
-from repro.rsfq.session import RunResult, SessionStats, SimulationSession
-from repro.rsfq.simulator import (
-    JITTER_MODES,
-    RunStats,
-    Simulator,
-    wire_jitter_rng,
-)
+from repro.rsfq.simulator import Simulator, wire_jitter_rng
 from repro.rsfq.trace import (
     GLOBAL_TRACE_COUNTERS,
     TRACE_KIND,
@@ -81,7 +75,6 @@ __all__ = [
     "FanoutTable",
     "Wire",
     "Simulator",
-    "JITTER_MODES",
     "wire_jitter_rng",
     "FAULT_KINDS",
     "FaultModel",
@@ -89,10 +82,6 @@ __all__ = [
     "InjectionRecord",
     "canonical_log",
     "fault_site_rng",
-    "RunStats",
-    "SimulationSession",
-    "RunResult",
-    "SessionStats",
     "CompiledTrace",
     "TraceEngine",
     "EpisodeResult",

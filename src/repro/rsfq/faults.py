@@ -11,8 +11,8 @@ This module models all five as a composable :class:`FaultModel` attached to
 
 * decisions draw from **deterministic per-site streams** -- one
   :class:`random.Random` per wire (and per stuck-cell candidate), seeded
-  from ``(model seed, stable site identity)`` exactly like
-  ``jitter_mode="wire"``.  Because every wire is driven by a single output
+  from ``(model seed, stable site identity)`` exactly like the per-wire
+  jitter streams.  Because every wire is driven by a single output
   port (RSFQ fan-out is one), the k-th pulse on a wire always consumes that
   wire's k-th draws, so fault outcomes are independent of global event
   interleaving and **bit-identical between the event loop and the trace
@@ -86,7 +86,7 @@ def fault_site_rng(seed, site: str) -> random.Random:
     String seeding uses CPython's stable sha512-based path, so the stream
     depends only on ``(seed, site)`` -- never on hash randomisation or
     event interleaving.  Fault streams
-    are namespaced apart from the ``jitter_mode="wire"`` streams so
+    are namespaced apart from the per-wire jitter streams so
     attaching a fault model never perturbs jitter draws (and vice versa).
     """
     return random.Random(f"fault|{seed!r}|{site}")

@@ -42,7 +42,7 @@ class FanoutTable:
         routes_idx: ``(src_name, src_port)`` -> tuple of pre-resolved
             ``(dst_idx, dst_port_idx, delay, wire_id)`` destinations.
             ``wire_id`` indexes :attr:`wires` and keys the per-wire
-            jitter streams of ``jitter_mode="wire"``.
+            jitter streams.
         wires: All wires in construction order (``wires[wire_id]``).
     """
 
@@ -66,7 +66,8 @@ class FanoutTable:
 
     def wire_key(self, wire_id: int) -> str:
         """A stable textual identity for a wire (seed material for the
-        per-wire jitter streams -- see ``jitter_mode="wire"``)."""
+        per-wire jitter streams -- see
+        :func:`~repro.rsfq.simulator.wire_jitter_rng`)."""
         w = self.wires[wire_id]
         return f"{w.src}.{w.src_port}->{w.dst}.{w.dst_port}#{wire_id}"
 

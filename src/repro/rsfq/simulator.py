@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.errors import (
     ConfigurationError,
     ConstraintViolationError,
     DeadlineExceededError,
-    FaultInjectionError,
 )
 from repro.rsfq.cells import Cell, Violation
 from repro.rsfq.events import EventQueue
@@ -41,15 +39,9 @@ from repro.rsfq.faults import FaultModel, canonical_log
 from repro.rsfq.netlist import Netlist
 from repro.rsfq.waveform import PulseTrace
 
-#: External stimulus: ``(cell or cell name, input port, time in ps)``.
-Stimulus = Tuple[Union[Cell, str], str, float]
-
-#: Jitter stream modes (see :class:`Simulator` ``jitter_mode``).
-JITTER_MODES = ("global", "wire")
-
 
 def wire_jitter_rng(seed, wire_key: str) -> random.Random:
-    """The deterministic jitter stream of one wire (``jitter_mode="wire"``).
+    """The deterministic jitter stream of one wire.
 
     Seeding :class:`random.Random` with a *string* uses CPython's stable
     (sha512-based) seeding, so the stream depends only on ``(seed,
@@ -85,26 +77,6 @@ def merge_margins(target: dict, source: dict) -> None:
             target[key] = (required, actual)
 
 
-@dataclass(frozen=True)
-class RunStats:
-    """Per-run execution statistics (returned by :meth:`Simulator.run_batch`
-    and :class:`~repro.rsfq.session.SimulationSession`).
-
-    Attributes:
-        events: Events processed during the run.
-        final_time_ps: Simulation time when the run finished.
-        delivered_pulses: Pulses delivered during the run.
-        violations: Timing violations recorded during the run.
-        wall_time_s: Host wall-clock seconds the run took.
-    """
-
-    events: int
-    final_time_ps: float
-    delivered_pulses: int
-    violations: int
-    wall_time_s: float
-
-
 class Simulator:
     """Event-driven simulator over a :class:`~repro.rsfq.netlist.Netlist`.
 
@@ -119,19 +91,15 @@ class Simulator:
             for ideal simulation; non-zero models fabrication/thermal
             variation of the physical chip (used as the "measured chip" side
             of the Fig. 16 comparison).
-        seed: Seed for the jitter random stream (deterministic runs).
-        jitter_mode: How jitter draws are sequenced.
-
-            * ``"global"`` (default, legacy): one stream consumed in
-              delivery order -- fast, but the draw a given wire receives
-              depends on the global event interleaving.
-            * ``"wire"``: one independent stream per wire, derived from
-              ``(seed, wire identity)`` via :func:`wire_jitter_rng` -- the
-              k-th pulse on a wire always gets that wire's k-th draw, so
-              jittered results are independent of event interleaving and
-              bit-identical between the event loop and trace replay.
-              With ``seed=None`` the mode behaves as a fixed default seed
-              (still deterministic).
+        seed: Seed of the jitter streams.  Every wire draws from its own
+            stream, derived from ``(seed, wire identity)`` via
+            :func:`wire_jitter_rng`: the k-th pulse on a wire always gets
+            that wire's k-th draw, so jittered results are independent of
+            event interleaving and bit-identical between the event loop
+            and trace replay.  ``seed=None`` is a fixed seed like any
+            other, so unseeded jittered runs are deterministic too.
+        jitter_mode: Accepted for compatibility; ``"wire"`` (per-wire
+            streams, above) is the only value.
 
     The simulator resolves the netlist's routing through
     :meth:`Netlist.elaborate`, so the per-pulse hot path performs integer
@@ -146,21 +114,18 @@ class Simulator:
         trace: Optional[PulseTrace] = None,
         jitter_ps: float = 0.0,
         seed: Optional[int] = None,
-        jitter_mode: str = "global",
+        jitter_mode: str = "wire",
         faults: Optional[FaultModel] = None,
     ):
-        if jitter_mode not in JITTER_MODES:
+        if jitter_mode != "wire":
             raise ConfigurationError(
-                f"unknown jitter_mode '{jitter_mode}'; "
-                f"available: {list(JITTER_MODES)}"
+                f"unknown jitter_mode '{jitter_mode}'; available: ['wire']"
             )
         self.netlist = netlist
         self.strict = strict
         self.trace = trace
         self.jitter_ps = float(jitter_ps)
-        self.jitter_mode = jitter_mode
         self._seed = seed
-        self._rng = random.Random(seed)
         self._wire_rngs: dict = {}
         self.faults = faults
         self.queue = EventQueue()
@@ -173,11 +138,6 @@ class Simulator:
         #: Minimum observed interval per constraint family:
         #: (cell_type, port_a, port_b) -> (required, tightest_actual).
         self.margins: dict = {}
-        #: Set after a ``run(engine="traced")`` replay: the results were
-        #: materialised from a compiled trace, so incremental stepping
-        #: is refused until :meth:`reset` (see repro.rsfq.trace).
-        self._trace_replayed = False
-        self._trace_engine = None
         self._fanout = netlist.elaborate()
         self._install_views()
         self._bind_deliver()
@@ -216,23 +176,14 @@ class Simulator:
         wrapper.
         """
         if self._fault_runtime is not None:
-            if self.jitter_ps > 0.0 and self.jitter_mode != "wire":
-                raise FaultInjectionError(
-                    "fault injection with jitter requires "
-                    "jitter_mode='wire': the legacy global jitter stream "
-                    "is consumed in delivery order and cannot be "
-                    "reproduced under faults"
-                )
             self.deliver = self._deliver_faulty
         elif self.jitter_ps <= 0.0:
             if type(self)._deliver_ideal is Simulator._deliver_ideal:
                 self.deliver = self._deliver_ideal_heap
             else:
                 self.deliver = self._deliver_ideal
-        elif self.jitter_mode == "wire":
-            self.deliver = self._deliver_jitter_wire
         else:
-            self.deliver = self._deliver_jitter_global
+            self.deliver = self._deliver_jitter_wire
 
     def _refresh(self) -> None:
         """Re-elaborate if the netlist grew since the last elaboration.
@@ -259,11 +210,6 @@ class Simulator:
         queued for the same instant), while scheduling in the past raises
         :class:`~repro.errors.ConfigurationError`.
         """
-        if self._trace_replayed:
-            raise ConfigurationError(
-                "this simulator's state was materialised from a trace "
-                "replay; call reset() before scheduling further inputs"
-            )
         cell = self._resolve(cell)
         if port not in cell.INPUTS:
             raise ConfigurationError(
@@ -309,22 +255,6 @@ class Simulator:
             heappush(heap, (time + delay, seq, dst_idx, dst_port_idx))
             seq += 1
         queue._seq = seq
-
-    def _deliver_jitter_global(self, cell: Cell, port: str, time: float) -> None:
-        """Jittered delivery drawing from the single global stream (in
-        delivery order -- the legacy behaviour behind the golden jitter
-        snapshots)."""
-        routes = self._fanout.routes_idx.get((cell.name, port))
-        if not routes:
-            return
-        push = self.queue.push
-        gauss = self._rng.gauss
-        sigma = self.jitter_ps
-        for dst_idx, dst_port_idx, delay, _wid in routes:
-            jittered = delay + gauss(0.0, sigma)
-            if jittered < 0.0:
-                jittered = 0.0
-            push(time + jittered, dst_idx, dst_port_idx)
 
     def _deliver_jitter_wire(self, cell: Cell, port: str, time: float) -> None:
         """Jittered delivery drawing from per-wire streams (stable under
@@ -398,7 +328,6 @@ class Simulator:
         until: Optional[float] = None,
         max_events: int = 10_000_000,
         deadline_s: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> float:
         """Process events (optionally only up to time ``until``).
 
@@ -416,28 +345,7 @@ class Simulator:
         drains its queue in time never pays more than the checks).  The
         specialised zero-overhead loops below are only used when no
         deadline is requested.
-
-        ``engine="traced"`` serves the run from the record-once /
-        replay-vectorized trace layer when possible (see
-        :mod:`repro.rsfq.trace`): the scheduled stimuli are fingerprinted,
-        recorded once on a strict ideal pass, and this run's variation
-        (jitter seed, silent fault model) is materialised as flat array
-        passes -- falling back transparently to this event loop whenever
-        replay cannot reproduce the run bit-for-bit.  After a replay the
-        simulator refuses further stepping until :meth:`reset` (replay
-        restores observations, not mid-episode scratch state).
         """
-        if self._trace_replayed:
-            raise ConfigurationError(
-                "this simulator's state was materialised from a trace "
-                "replay; call reset() before running again"
-            )
-        if engine is not None:
-            if engine != "traced":
-                raise ConfigurationError(
-                    f"unknown engine '{engine}'; available: ('traced',)"
-                )
-            return self._run_traced(until, max_events, deadline_s)
         if deadline_s is not None:
             return self._run_with_deadline(until, max_events, deadline_s)
         self._refresh()
@@ -559,113 +467,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _run_traced(
-        self,
-        until: Optional[float],
-        max_events: int,
-        deadline_s: Optional[float],
-    ) -> float:
-        """Serve :meth:`run` from the trace layer (``engine="traced"``).
-
-        Eligible only for a whole episode from the power-on state with
-        un-overridden delivery; anything else --
-        and any replay-side divergence -- re-enters the normal event
-        loop on the already-populated queue, which is bit-identical by
-        construction.
-        """
-        from repro.rsfq import trace as trace_mod
-
-        eligible = (
-            until is None
-            and deadline_s is None
-            and self.now == 0.0
-            and self.events_processed == 0
-            and type(self)._deliver_ideal is Simulator._deliver_ideal
-        )
-        if not eligible:
-            trace_mod.GLOBAL_TRACE_COUNTERS.inc("fallbacks")
-            return self.run(until=until, max_events=max_events,
-                            deadline_s=deadline_s)
-        engine = self._trace_engine
-        if engine is None or engine.netlist is not self.netlist:
-            engine = self._trace_engine = trace_mod.TraceEngine(
-                self.netlist
-            )
-        self._refresh()
-        fanout = self._fanout
-        entries = sorted(self.queue._heap, key=lambda e: e[1])
-        segment = tuple(
-            (fanout.cell_list[ci].name, fanout.input_ports[ci][pi], time)
-            for time, _seq, ci, pi in entries
-        )
-        episode = engine.replay_episode(
-            (segment,),
-            jitter_ps=self.jitter_ps,
-            seed=self._seed,
-            jitter_mode=self.jitter_mode,
-            faults=self.faults,
-            strict=self.strict,
-            max_events=max_events,
-            want_trace=self.trace is not None,
-        )
-        if episode is None:
-            return self.run(max_events=max_events)
-        self.queue.clear()
-        self.now = episode.final_time_ps
-        self.violations.extend(episode.violations)
-        merge_margins(self.margins, episode.margins)
-        self.delivered_pulses += episode.events
-        self.events_processed += episode.events
-        if self.trace is not None and episode.trace is not None:
-            record = self.trace.record
-            for component, port, time in episode.trace.events():
-                record(component, port, time)
-        self._trace_replayed = True
-        return self.now
-
-    def run_batch(
-        self,
-        batches: Iterable[Sequence[Stimulus]],
-        until: Optional[float] = None,
-        max_events: int = 10_000_000,
-        deadline_s: Optional[float] = None,
-    ) -> List[RunStats]:
-        """Execute several independent stimulus sets, resetting between runs.
-
-        Each element of ``batches`` is a sequence of ``(cell, port, time)``
-        stimuli describing one run; the circuit state, clock, queue and the
-        seeded jitter/fault streams are all restored before each run (see
-        :meth:`reset` -- every sample replays from the simulator's seed, so
-        batch results can never depend on batch order or on earlier
-        samples; Monte-Carlo batches should vary the seed per trial, e.g.
-        via :class:`repro.rsfq.session.SimulationSession` ``seeds=`` or
-        :meth:`repro.rsfq.faults.FaultModel.reseeded`).  The netlist
-        elaboration is resolved once and shared across the batch.
-        ``deadline_s`` (when set) bounds each run's wall-clock time.
-
-        Returns one :class:`RunStats` per stimulus set.  For richer per-run
-        control (per-run traces, seeds, aggregate stats) use
-        :class:`repro.rsfq.session.SimulationSession`.
-        """
-        stats: List[RunStats] = []
-        for stimuli in batches:
-            self.reset()
-            for cell, port, time in stimuli:
-                self.schedule_input(cell, port, time)
-            events_before = self.events_processed
-            start = _time.perf_counter()
-            final = self.run(until=until, max_events=max_events,
-                             deadline_s=deadline_s)
-            wall = _time.perf_counter() - start
-            stats.append(RunStats(
-                events=self.events_processed - events_before,
-                final_time_ps=final,
-                delivered_pulses=self.delivered_pulses,
-                violations=len(self.violations),
-                wall_time_s=wall,
-            ))
-        return stats
-
     def report_violation(self, violation: Violation) -> None:
         """Record (or raise, in strict mode) a timing violation.
 
@@ -729,13 +530,11 @@ class Simulator:
         """Restore the simulator to its construction state.
 
         Clears pending events, time, violations, margins, traces and all
-        cell state, *and* reseeds every stochastic stream (the global
-        jitter RNG, the per-wire jitter streams, and any bound fault
-        runtime) from the construction seed.  After ``reset()`` a replay
-        of the same stimuli is therefore bit-identical to the first run
-        -- the invariant :meth:`run_batch` and the Monte-Carlo campaign
-        harness rely on.  To model *fresh* physical randomness, construct
-        a new simulator (or session run) with a different ``seed``.
+        cell state, *and* reseeds every stochastic stream (the per-wire
+        jitter streams and any bound fault runtime) from the construction
+        seed.  After ``reset()`` a replay of the same stimuli is therefore
+        bit-identical to the first run.  To model *fresh* physical
+        randomness, construct a new simulator with a different ``seed``.
         """
         self.queue.clear()
         self.now = 0.0
@@ -743,8 +542,6 @@ class Simulator:
         self.delivered_pulses = 0
         self.events_processed = 0
         self.margins.clear()
-        self._trace_replayed = False
-        self._rng = random.Random(self._seed)
         self._wire_rngs.clear()
         if self._fault_runtime is not None:
             self._fault_runtime.reset()

@@ -18,8 +18,8 @@ event on every run; this module pays it **once**:
    * *ideal* replays return the recorded outcome directly (the warm
      path -- O(outputs), no event loop at all);
    * *jitter-seed* replays re-time every event level-by-level with
-     precomputed per-wire Gaussian offset arrays (the exact streams of
-     ``jitter_mode="wire"``), reproducing the engine's floating-point
+     precomputed per-wire Gaussian offset arrays (the event engine's
+     exact per-wire jitter streams), reproducing its floating-point
      association bit-for-bit;
    * *fault-site* replays run the bound fault model's decision streams
      over the recorded wire pulses; a run that would inject nothing is
@@ -626,8 +626,8 @@ class _BoundTrace:
                                    self.trace.times))
 
     def _jitter_transit(self, seed, sigma: float) -> np.ndarray:
-        """Per-event jittered wire transit, from the exact per-wire
-        streams of ``jitter_mode="wire"`` (cached per (seed, sigma))."""
+        """Per-event jittered wire transit, from the event engine's exact
+        per-wire jitter streams (cached per (seed, sigma))."""
         key = (repr(seed), float(sigma))
         cached = self._transit_cache.get(key)
         if cached is not None:
@@ -856,34 +856,25 @@ class TraceEngine:
         self._mem[sfp] = bound
         return bound
 
-    def replay_episode(
+    def _replay_episode(
         self,
-        segments,
-        *,
-        jitter_ps: float = 0.0,
-        seed=None,
-        jitter_mode: str = "wire",
-        faults: Optional[FaultModel] = None,
-        strict: bool = False,
-        max_events: int = 10_000_000,
-        netlist: Optional[Netlist] = None,
-        want_trace: bool = False,
-        allow_record: bool = True,
+        segments: Segments,
+        jitter_ps: float,
+        seed,
+        faults: Optional[FaultModel],
+        strict: bool,
+        max_events: int,
+        target: Netlist,
+        want_trace: bool,
+        allow_record: bool,
     ) -> Optional[EpisodeResult]:
         """Serve the episode from the trace, or return None (fallback
-        needed -- already counted).  ``netlist`` may be a *different*
+        needed -- already counted).  ``target`` may be a *different*
         instance with the same structure (fingerprint-checked); replayed
         observations are written into it.
         """
-        target = self.netlist if netlist is None else netlist
-        segments = normalize_segments(segments)
         if target is not self.netlist and \
                 netlist_fingerprint(target) != self._fp():
-            self._bump("fallbacks")
-            return None
-        if jitter_ps > 0.0 and jitter_mode != "wire":
-            # The legacy global jitter stream is consumed in delivery
-            # order; only per-wire streams replay deterministically.
             self._bump("fallbacks")
             return None
         bound = self._bound(segments, max_events, allow_record)
@@ -932,7 +923,6 @@ class TraceEngine:
         *,
         jitter_ps: float = 0.0,
         seed=None,
-        jitter_mode: str = "wire",
         faults: Optional[FaultModel] = None,
         strict: bool = False,
         max_events: int = 10_000_000,
@@ -946,22 +936,19 @@ class TraceEngine:
         determinism: same seeds, same per-wire streams, same
         schedule-then-run interleaving)."""
         segments = normalize_segments(segments)
-        episode = self.replay_episode(
-            segments, jitter_ps=jitter_ps, seed=seed,
-            jitter_mode=jitter_mode, faults=faults, strict=strict,
-            max_events=max_events, netlist=netlist,
-            want_trace=want_trace, allow_record=allow_record,
+        target = self.netlist if netlist is None else netlist
+        episode = self._replay_episode(
+            segments, jitter_ps, seed, faults, strict, max_events, target,
+            want_trace, allow_record,
         )
         if episode is not None:
             return episode
-        target = self.netlist if netlist is None else netlist
         sim = Simulator(
             target,
             strict=strict,
             trace=PulseTrace() if want_trace else None,
             jitter_ps=jitter_ps,
             seed=seed,
-            jitter_mode=jitter_mode,
             faults=faults,
         )
         sim.reset()

@@ -77,6 +77,28 @@ class TestArtifactCache:
         assert 0.0 <= bundle.train_accuracy <= 1.0
         assert not list(tmp_path.iterdir())
 
+    def test_unreadable_bundle_is_retrained_and_overwritten(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.harness.artifacts as artifacts
+
+        monkeypatch.setattr(artifacts, "CACHE_DIR", str(tmp_path))
+        kwargs = dict(dataset="digits", hidden=8, epochs=1, train_size=60,
+                      test_size=20, time_steps=2)
+        fresh = artifacts.get_trained_bundle(**kwargs, use_cache=False)
+        expected = fresh.model.linear_layers()[0].weight.numpy()
+        path = tmp_path / f"{fresh.config_key}.npz"
+        path.write_bytes(b"PK\x03\x04 not a zip archive")
+
+        bundle = artifacts.get_trained_bundle(**kwargs)
+        np.testing.assert_array_equal(
+            bundle.model.linear_layers()[0].weight.numpy(), expected
+        )
+        with np.load(path) as data:
+            np.testing.assert_array_equal(data["w0"], expected)
+        # The atomic save left no temporary file behind.
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_downsample_changes_input_size(self, tmp_path, monkeypatch):
         import repro.harness.artifacts as artifacts
 

@@ -332,15 +332,9 @@ class TestGuards:
         message = str(err.value)
         assert "at t=" in message and "'jx'" in message
 
-    def test_jitter_with_faults_requires_wire_mode(self):
-        net, _, _ = chain(n=2)
-        with pytest.raises(FaultInjectionError, match="jitter_mode='wire'"):
-            Simulator(net, jitter_ps=0.5,
-                      faults=FaultModel.single("pulse_drop", 0.1))
-
     def test_faults_compose_with_wire_jitter(self):
         net, cells, probe = chain(n=4)
-        sim = Simulator(net, jitter_ps=0.4, jitter_mode="wire", seed=5,
+        sim = Simulator(net, jitter_ps=0.4, seed=5,
                         faults=FaultModel.single("pulse_drop", 0.0))
         drive(sim, cells[0], [0.0])
         sim.run()

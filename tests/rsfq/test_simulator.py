@@ -200,6 +200,24 @@ class TestSimulator:
         sim.run()
         assert tuple(probe.times) != times[0]
 
+    def test_unseeded_jitter_is_deterministic(self):
+        # The per-wire streams seed from repr(None), like any other seed.
+        net, cells, probe = chain_netlist(n_jtl=3, delay=5.0)
+        times = []
+        for _ in range(2):
+            sim = Simulator(net, jitter_ps=0.5)
+            sim.schedule_input(cells[0], "din", 0.0)
+            sim.run()
+            times.append(tuple(probe.times))
+            sim.reset()
+        assert times[0] == times[1]
+
+    def test_only_wire_jitter_mode_accepted(self):
+        net, _, _ = chain_netlist(n_jtl=1)
+        Simulator(net, jitter_ps=0.5, jitter_mode="wire")
+        with pytest.raises(ConfigurationError, match="jitter_mode"):
+            Simulator(net, jitter_ps=0.5, jitter_mode="delivery-order")
+
     def test_runaway_feedback_detected(self):
         """A JTL loop oscillates forever; the engine must abort."""
         net = Netlist("loop")
@@ -225,15 +243,12 @@ class TestSimulator:
         assert sim.now == 0.0
         assert sim.delivered_pulses == 0
 
-    @pytest.mark.parametrize("jitter_mode", ["global", "wire"])
-    def test_reset_reseeds_jitter_streams(self, jitter_mode):
+    def test_reset_reseeds_jitter_streams(self):
         """Regression: ``reset`` must rewind the jitter RNGs to the
         construction seed so a replay on the *same* simulator instance is
-        bit-identical to the first run (streams used to leak across
-        resets in global mode)."""
+        bit-identical to the first run."""
         net, cells, probe = chain_netlist(n_jtl=4, delay=5.0)
-        sim = Simulator(net, jitter_ps=0.6, seed=13,
-                        jitter_mode=jitter_mode)
+        sim = Simulator(net, jitter_ps=0.6, seed=13)
         runs = []
         for _ in range(3):
             for k in range(5):

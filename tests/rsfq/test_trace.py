@@ -11,7 +11,13 @@ fell back.
 import pytest
 
 from repro.errors import ConfigurationError, ConstraintViolationError
-from repro.rsfq import FaultModel, Netlist, SimulationSession, Simulator, library
+from repro.rsfq import (
+    TFF_MIN_INTERVAL,
+    FaultModel,
+    Netlist,
+    Simulator,
+    library,
+)
 from repro.rsfq.trace import (
     GLOBAL_TRACE_COUNTERS,
     TRACE_KIND,
@@ -110,44 +116,23 @@ class TestRecordReplay:
     def test_wire_jitter_replay_bit_identical(self):
         for seed in (0, 1, "stringseed"):
             net_a, probe_a = build_chain()
-            ref = run_reference(
-                net_a, (SEGMENT,), jitter_ps=0.4, seed=seed,
-                jitter_mode="wire",
-            )
+            ref = run_reference(net_a, (SEGMENT,), jitter_ps=0.4, seed=seed)
             net_b, probe_b = build_chain()
             engine = TraceEngine(net_b)
             episode = engine.run_episode(
-                (SEGMENT,), jitter_ps=0.4, seed=seed, jitter_mode="wire"
+                (SEGMENT,), jitter_ps=0.4, seed=seed
             )
             assert episode.mode == "replay", seed
             assert probe_b.times == probe_a.times, seed
             assert episode.margins == dict(ref.margins)
 
-    def test_global_jitter_mode_falls_back(self):
-        net_a, probe_a = build_chain()
-        ref = run_reference(
-            net_a, (SEGMENT,), jitter_ps=0.4, seed=7, jitter_mode="global"
-        )
-        net_b, probe_b = build_chain()
-        engine = TraceEngine(net_b)
-        episode = engine.run_episode(
-            (SEGMENT,), jitter_ps=0.4, seed=7, jitter_mode="global"
-        )
-        assert episode.mode == "fallback"
-        assert engine.stats["fallbacks"] == 1
-        assert probe_b.times == probe_a.times
-
     def test_divergent_jitter_falls_back_bit_identical(self):
         # Sigma comparable to the stimulus spacing flips arrival order.
         net_a, probe_a = build_chain()
-        ref = run_reference(
-            net_a, (SEGMENT,), jitter_ps=120.0, seed=3, jitter_mode="wire"
-        )
+        ref = run_reference(net_a, (SEGMENT,), jitter_ps=120.0, seed=3)
         net_b, probe_b = build_chain()
         engine = TraceEngine(net_b)
-        episode = engine.run_episode(
-            (SEGMENT,), jitter_ps=120.0, seed=3, jitter_mode="wire"
-        )
+        episode = engine.run_episode((SEGMENT,), jitter_ps=120.0, seed=3)
         assert episode.mode == "fallback"
         assert probe_b.times == probe_a.times
         assert len(episode.violations) == len(ref.violations)
@@ -251,117 +236,57 @@ class TestCache:
             CompiledTrace.load(path)
 
 
-class TestSimulatorEngineParam:
-    def test_unknown_engine_rejected(self):
-        net, _ = build_chain()
-        sim = Simulator(net)
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            sim.run(engine="warp")
+class TestStrict:
+    """``strict=True`` episodes raise exactly what a strict event-engine
+    :class:`Simulator` raises, on both ways replay can refuse a run."""
 
-    def test_traced_run_matches_event_run(self):
-        net_a, probe_a = build_chain()
-        sim_a = Simulator(net_a)
-        for name, port, t in SEGMENT:
-            sim_a.schedule_input(name, port, t)
-        sim_a.run()
-
-        net_b, probe_b = build_chain()
-        sim_b = Simulator(net_b)
-        for name, port, t in SEGMENT:
-            sim_b.schedule_input(name, port, t)
-        sim_b.run(engine="traced")
-        assert probe_b.times == probe_a.times
-        assert sim_b.now == sim_a.now
-        assert sim_b.events_processed == sim_a.events_processed
-        assert sim_b.margins == sim_a.margins
-
-    def test_replayed_simulator_requires_reset(self):
-        net, probe = build_chain()
-        sim = Simulator(net)
-        for name, port, t in SEGMENT:
-            sim.schedule_input(name, port, t)
-        sim.run(engine="traced")
-        with pytest.raises(ConfigurationError, match="reset"):
-            sim.schedule_input("j0", "din", 99999.0)
-        with pytest.raises(ConfigurationError, match="reset"):
-            sim.run()
-        sim.reset()
-        sim.schedule_input("j0", "din", 0.0)
-        sim.run(engine="traced")
-        assert probe.times  # usable again after reset
-
-    def test_mid_run_state_falls_back(self):
-        net_a, probe_a = build_chain()
-        sim_a = Simulator(net_a)
-        sim_a.schedule_input("j0", "din", 0.0)
-        sim_a.run()
-        sim_a.schedule_input("j0", "din", 500.0)
-        sim_a.run()
-
-        net_b, probe_b = build_chain()
-        sim_b = Simulator(net_b)
-        sim_b.schedule_input("j0", "din", 0.0)
-        sim_b.run(engine="traced")
-        sim_b.reset()
-        # After a completed run, now > 0: ineligible for replay but must
-        # still produce the event-engine answer.
-        sim_b2 = Simulator(net_b)
-        sim_b2.schedule_input("j0", "din", 0.0)
-        sim_b2.run()
-        sim_b2.schedule_input("j0", "din", 500.0)
-        sim_b2.run(engine="traced")
-        assert probe_b.times == probe_a.times
+    @staticmethod
+    def event_engine_error(net, segments, **kwargs):
+        with pytest.raises(ConstraintViolationError) as err:
+            run_reference(net, segments, strict=True, **kwargs)
+        return str(err.value)
 
     def test_strict_traced_raises_like_event_engine(self):
-        net_a, _ = build_tff()
+        # Pulses 0.5 ps apart violate the TFF even under ideal physics,
+        # so the recording itself fails and the episode falls back.
         seg = (("t0", "din", 0.0), ("t0", "din", 0.5))
-        sim_a = Simulator(net_a, strict=True)
-        for name, port, t in seg:
-            sim_a.schedule_input(name, port, t)
-        with pytest.raises(ConstraintViolationError):
-            sim_a.run()
+        net_a, _ = build_tff()
+        expected = self.event_engine_error(net_a, (seg,))
 
         net_b, _ = build_tff()
-        sim_b = Simulator(net_b, strict=True)
-        for name, port, t in seg:
-            sim_b.schedule_input(name, port, t)
-        with pytest.raises(ConstraintViolationError):
-            sim_b.run(engine="traced")
+        engine = TraceEngine(net_b)
+        with pytest.raises(ConstraintViolationError) as err:
+            engine.run_episode((seg,), strict=True)
+        assert str(err.value) == expected
+        assert engine.stats["records"] == 0
+        assert engine.stats["fallbacks"] == 1
 
+    def test_strict_jittered_replay_raises_like_event_engine(self):
+        # The ideal schedule clears the TFF window by 0.2 ps and records
+        # cleanly; 0.5 ps of jitter closes it, so the strict replay
+        # refuses the run and the event engine raises.
+        def build():
+            net = Netlist("jtl-tff")
+            jtl = net.add(library.JTL("j0"))
+            tff = net.add(library.TFFL("t0"))
+            net.connect(jtl, "dout", tff, "din", delay=2.0)
+            return net
 
-class TestSession:
-    def test_traced_session_matches_event_session(self):
-        net_a, _ = build_chain()
-        net_b, _ = build_chain()
-        sa = SimulationSession(net_a, record_traces=True)
-        sb = SimulationSession(net_b, record_traces=True, engine="traced")
-        ra = sa.run(list(SEGMENT))
-        rb = sb.run(list(SEGMENT))
-        assert rb.trace == ra.trace
-        assert rb.stats.events == ra.stats.events
-        assert rb.stats.final_time_ps == ra.stats.final_time_ps
-        assert sb.trace_stats()["replays"] >= 1
+        spacing = TFF_MIN_INTERVAL + 0.2
+        seg = tuple(("j0", "din", spacing * k) for k in range(8))
+        jitter = dict(jitter_ps=0.5, seed=2)
+        expected = self.event_engine_error(build(), (seg,), **jitter)
 
-    def test_traced_session_jitter_seeds(self):
-        net_a, _ = build_chain()
-        net_b, _ = build_chain()
-        sa = SimulationSession(
-            net_a, jitter_ps=0.3, jitter_mode="wire", record_traces=True
-        )
-        sb = SimulationSession(
-            net_b, jitter_ps=0.3, jitter_mode="wire", record_traces=True,
-            engine="traced",
-        )
-        ra = sa.run_batch([list(SEGMENT)] * 3, seeds=[10, 11, 12])
-        rb = sb.run_batch([list(SEGMENT)] * 3, seeds=[10, 11, 12])
-        for x, y in zip(ra, rb):
-            assert x.trace == y.trace
-            assert x.violations == y.violations
-
-    def test_unknown_session_engine_rejected(self):
-        net, _ = build_chain()
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            SimulationSession(net, engine="warp")
+        engine = TraceEngine(build())
+        with pytest.raises(ConstraintViolationError) as err:
+            engine.run_episode((seg,), strict=True, **jitter)
+        assert str(err.value) == expected
+        assert engine.stats["records"] == 1
+        assert engine.stats["fallbacks"] == 1
+        # The same run without strict is served by replay, so it was the
+        # strict check, not a divergence, that sent it to the engine.
+        episode = engine.run_episode((seg,), **jitter)
+        assert episode.mode == "replay" and episode.violations
 
 
 class TestScheduleRecorder:

@@ -71,15 +71,11 @@ def test_replay_bit_identical_to_event_engine(netlist, times, jitter):
     segment = tuple(("c0", "din", t) for t in sorted(times))
 
     net_a, probe_a = build_pipeline(stages, delays)
-    ref = run_reference(
-        net_a, (segment,), jitter_ps=sigma, seed=seed, jitter_mode="wire"
-    )
+    ref = run_reference(net_a, (segment,), jitter_ps=sigma, seed=seed)
 
     net_b, probe_b = build_pipeline(stages, delays)
     engine = TraceEngine(net_b)
-    episode = engine.run_episode(
-        (segment,), jitter_ps=sigma, seed=seed, jitter_mode="wire"
-    )
+    episode = engine.run_episode((segment,), jitter_ps=sigma, seed=seed)
 
     assert episode.mode in ("replay", "fallback")
     assert probe_b.times == probe_a.times
