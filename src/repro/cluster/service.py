@@ -48,7 +48,7 @@ class ClusterServer(InferenceServer):
 
     Args:
         network / compiled / chip_n / sc_per_npe / reorder / batch_max /
-            deadline_ms / plan_cache / queue_max / breaker: As for
+            plan_cache / queue_max / breaker: As for
             :class:`InferenceServer`.  The inherited breaker guards
             nothing here (each node carries its own); it stays closed
             so admission control keeps working unmodified.
@@ -72,7 +72,6 @@ class ClusterServer(InferenceServer):
         sc_per_npe: int = 10,
         reorder: bool = True,
         batch_max: int = 512,
-        deadline_ms: float = 2.0,
         nodes: int = 2,
         node_workers: int = 2,
         replicas: int = 64,
@@ -95,7 +94,6 @@ class ClusterServer(InferenceServer):
             sc_per_npe=sc_per_npe,
             reorder=reorder,
             batch_max=batch_max,
-            deadline_ms=deadline_ms,
             workers=0,  # no server-level pool; nodes own the pools
             plan_cache=plan_cache,
             queue_max=queue_max,

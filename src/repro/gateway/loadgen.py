@@ -222,7 +222,7 @@ class _ScenarioContext:
     scenario.  Clients must aim at :attr:`address`, which points at
     the proxy when one is interposed."""
 
-    def __init__(self, compiled, *, deadline_ms: float = 2.0,
+    def __init__(self, compiled, *,
                  breaker: Optional[CircuitBreaker] = None,
                  queue_limit: int = 4096, cluster_nodes: int = 0,
                  proxy: bool = False):
@@ -232,14 +232,12 @@ class _ScenarioContext:
             # supervise_interval_s=0: scenarios drive failure handling
             # through the router's dispatch path deterministically.
             self.server = ClusterServer(
-                compiled=compiled, deadline_ms=deadline_ms, batch_max=64,
-                breaker=breaker, nodes=cluster_nodes, node_workers=2,
-                supervise_interval_s=0,
+                compiled=compiled, batch_max=64, breaker=breaker,
+                nodes=cluster_nodes, node_workers=2, supervise_interval_s=0,
             )
         else:
             self.server = InferenceServer(
-                compiled=compiled, deadline_ms=deadline_ms, batch_max=64,
-                breaker=breaker,
+                compiled=compiled, batch_max=64, breaker=breaker,
             )
         self.gateway = Gateway(
             self.server,
@@ -420,13 +418,11 @@ def _scenario_deadline_storm(compiled, quick: bool, seed: int,
     # Hold the dispatcher busy (chaos-injection idiom: wrap _forward
     # with a sleep, exactly as tests/serve does) while doomed requests
     # with 1 ms deadlines pile up behind the blocker; every one of them
-    # expires at dispatch -> 504.  deadline_ms=0 disables coalescing so
-    # the doomed requests cannot ride the blocker's batch.
+    # expires at dispatch -> 504.
     doomed = 12 if quick else 40
     hold_s = 1.2
     rng = np.random.default_rng(seed + 4)
-    with _ScenarioContext(compiled, deadline_ms=0.0,
-                          proxy=proxy) as ctx:
+    with _ScenarioContext(compiled, proxy=proxy) as ctx:
         trains = _make_trains(rng, 2, 12, compiled.in_features)
         collector = _Collector()
         original = ctx.server._forward

@@ -635,8 +635,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-nodes", type=int, default=8,
                         help="autoscaler ceiling (default 8)")
     parser.add_argument("--batch-max", type=int, default=64)
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window")
     parser.add_argument("--queue-limit", type=int, default=1024,
                         help="admission-control queue-depth bound")
     parser.add_argument("--tenants", default=None,
@@ -665,7 +663,6 @@ def main(argv=None) -> int:
         server = ClusterServer(
             compiled=_compile_workload(),
             batch_max=args.batch_max,
-            deadline_ms=args.deadline_ms,
             nodes=args.nodes,
             node_workers=args.workers,
             autoscaler_config=autoscaler_config,
@@ -674,7 +671,6 @@ def main(argv=None) -> int:
         server = InferenceServer(
             compiled=_compile_workload(),
             batch_max=args.batch_max,
-            deadline_ms=args.deadline_ms,
             workers=args.workers,
         )
     server.start()

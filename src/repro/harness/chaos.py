@@ -405,8 +405,7 @@ def _scenario_breaker_cycle(quick: bool, marker_dir: str) -> Dict:
 
     breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=0.3)
     server = InferenceServer(
-        compiled=compiled, workers=WORKERS, batch_max=4,
-        deadline_ms=0.5, breaker=breaker,
+        compiled=compiled, workers=WORKERS, batch_max=4, breaker=breaker,
     )
     server.start()
     try:
@@ -751,7 +750,7 @@ class _NetEdge:
         compiled, _ = _workload(True)
         self.compiled = compiled
         self.server = InferenceServer(
-            compiled=compiled, workers=0, batch_max=8, deadline_ms=0.5
+            compiled=compiled, workers=0, batch_max=8
         ).start()
         self.gateway = Gateway(
             self.server,

@@ -1,17 +1,16 @@
 """The adaptive micro-batching inference server.
 
-One dispatcher thread drains a request queue: the first request of a
-batch opens a coalescing window; further requests join until the batch
-holds ``batch_max`` samples or ``deadline_ms`` has elapsed since the
-window opened, then the whole batch runs as a single row block through
-the compiled plan (serially or on the persistent shared-memory pool).
-Every request therefore trades at most ``deadline_ms`` of queueing
-latency for hardware-sized batches -- the same latency/throughput knob
-real serving stacks expose.
-
-Requests whose spike trains disagree in shape are never mixed into one
-batch; a shape change simply closes the current window (the mismatched
-request opens the next one).
+One dispatcher thread drains a request queue and is work-conserving:
+it never waits for a batch to fill.  After the first admitted request
+it takes only what is already queued -- up to ``batch_max`` samples,
+stopping at a request whose spike-train shape differs (that request
+opens the next batch) -- and runs the whole batch at once as a single
+row block through the compiled plan (serially or on the persistent
+shared-memory pool).  Requests that arrive while a batch runs form the
+next one, so batches grow with load and a lone request is never held.
+This is the default of Triton's dynamic batcher
+(``max_queue_delay_microseconds: 0``).  Answers do not depend on batch
+composition: ``forward_rows`` treats every row independently.
 
 Failure semantics (see ``docs/SERVING.md``): the pool resurrects its
 own workers, so transient chaos heals *inside* a call; a pool call that
@@ -67,9 +66,9 @@ class ServeResult:
         rates: (classes,) mean output spike rates.
         prediction: argmax class label.
         output_raster: (T, classes) per-step output spikes.
-        latency_ms: Submit-to-answer wall-clock latency (queueing and
-            coalescing included).
-        batch_size: Samples in the coalesced batch this request rode in.
+        latency_ms: Submit-to-answer wall-clock latency (queueing
+            included).
+        batch_size: Samples in the batch this request rode in.
         steps: Time steps of the request's spike train.
     """
 
@@ -98,9 +97,11 @@ class InferenceServer:
             pass an already-compiled artifact via ``compiled=``.
         chip_n / sc_per_npe / reorder: Chip configuration (ignored when
             ``compiled`` is given).
-        batch_max: Coalescing ceiling in samples.
-        deadline_ms: Coalescing window: maximum time a request waits for
-            companions before its batch is dispatched.
+        batch_max: Most samples one batch takes from the queue.
+        deadline_ms: Ignored.  The dispatcher never waits for a batch
+            to fill; the argument is still accepted (and must be
+            ``>= 0``) only so existing callers keep working.  The
+            per-request ``submit(deadline_ms=)`` bound is unrelated.
         workers: ``> 1`` shards batches across a persistent supervised
             :class:`~repro.ssnn.pool.InferencePool`; ``0``/``1`` run
             in the dispatcher thread.  Pool failures fall back to serial
@@ -154,7 +155,6 @@ class InferenceServer:
                 )
         self.compiled = compiled
         self.batch_max = batch_max
-        self.deadline_ms = deadline_ms
         self.workers = workers
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=queue_max)
@@ -442,18 +442,14 @@ class InferenceServer:
             if not self._admit(first):
                 continue
             batch = [first]
-            deadline = time.monotonic() + self.deadline_ms / 1000.0
             while len(batch) < self.batch_max:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt.train.shape != first.train.shape:
                     # Never mix shapes: the straggler opens the next
-                    # coalescing window.
+                    # batch.
                     self._holdback = nxt
                     break
                 if self._admit(nxt):
@@ -471,19 +467,20 @@ class InferenceServer:
             rates = (raster.mean(axis=0) if steps
                      else raster.sum(axis=0))  # (batch, out)
             now = time.monotonic()
-            latencies = []
+            latencies = [(now - request.enqueued) * 1000.0
+                         for request in batch]
+            # Count the batch before answering it, so a caller holding
+            # an answer never reads stats() one batch short.
+            self._metrics.record_batch(len(batch), synops, latencies)
             for i, request in enumerate(batch):
-                latency_ms = (now - request.enqueued) * 1000.0
-                latencies.append(latency_ms)
                 request.future.set_result(ServeResult(
                     rates=rates[i],
                     prediction=int(rates[i].argmax()),
                     output_raster=raster[:, i, :],
-                    latency_ms=latency_ms,
+                    latency_ms=latencies[i],
                     batch_size=len(batch),
                     steps=steps,
                 ))
-            self._metrics.record_batch(len(batch), synops, latencies)
         except Exception as exc:  # pragma: no cover - defensive
             for request in batch:
                 if not request.future.done():
@@ -520,5 +517,4 @@ class InferenceServer:
         return (f"<InferenceServer {state} {mode} "
                 f"breaker={self.breaker.state} "
                 f"batch_max={self.batch_max} "
-                f"deadline_ms={self.deadline_ms} "
                 f"plan={self.compiled.fingerprint[:12]}>")

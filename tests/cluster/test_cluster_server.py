@@ -35,7 +35,7 @@ class TestServing:
         want = runtime.infer(network, trains)
         with ClusterServer(
             compiled=compiled, nodes=3, node_workers=0,
-            deadline_ms=5.0, supervise_interval_s=0,
+            supervise_interval_s=0,
         ) as server:
             futures = [server.submit(trains[:, b, :])
                        for b in range(trains.shape[1])]
@@ -50,7 +50,7 @@ class TestServing:
         _, compiled, trains = workload
         with ClusterServer(
             compiled=compiled, nodes=2, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0,
+            supervise_interval_s=0,
         ) as server:
             first = server.infer(trains[:, 0, :], timeout=30.0)
             # Kill whichever node serves next; dispatch must re-route.
@@ -65,7 +65,7 @@ class TestServing:
         _, compiled, trains = workload
         with ClusterServer(
             compiled=compiled, nodes=1, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0,
+            supervise_interval_s=0,
         ) as server:
             assert server.readiness()
             node_id = server.router.node_ids()[0]
@@ -76,7 +76,7 @@ class TestServing:
         _, compiled, trains = workload
         with ClusterServer(
             compiled=compiled, nodes=1, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0,
+            supervise_interval_s=0,
         ) as server:
             added = server.add_node()
             assert server.router.alive_count() == 2
@@ -92,7 +92,7 @@ class TestServing:
         config = AutoscalerConfig(min_nodes=1, max_nodes=4)
         with ClusterServer(
             compiled=compiled, nodes=2, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0,
+            supervise_interval_s=0,
             autoscaler_config=config,
         ) as server:
             server.infer(trains[:, 0, :], timeout=30.0)
@@ -120,7 +120,7 @@ class TestServing:
         _, compiled, trains = workload
         with ClusterServer(
             compiled=compiled, nodes=2, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0.02,
+            supervise_interval_s=0.02,
         ) as server:
             target = server.router.node(server.router.node_ids()[0])
             target.partition()
@@ -148,7 +148,7 @@ class TestGatewayIntegration:
         _, compiled, trains = workload
         server = ClusterServer(
             compiled=compiled, nodes=2, node_workers=0,
-            deadline_ms=0.0, supervise_interval_s=0,
+            supervise_interval_s=0,
         ).start()
         gateway = Gateway(
             server,

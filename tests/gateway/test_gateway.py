@@ -55,12 +55,10 @@ def train():
 
 
 @contextmanager
-def live_gateway(compiled, *, deadline_ms=0.0, breaker=None,
+def live_gateway(compiled, *, breaker=None,
                  queue_limit=1024, shed_queue_depth=None,
                  max_body_bytes=1 << 20):
-    server = InferenceServer(
-        compiled=compiled, deadline_ms=deadline_ms, breaker=breaker
-    ).start()
+    server = InferenceServer(compiled=compiled, breaker=breaker).start()
     gateway = Gateway(
         server,
         authenticator=ApiKeyAuthenticator(TENANTS),

@@ -131,7 +131,7 @@ def test_cluster_scrape_matches_the_catalogue(compiled, train):
     rows = catalogue()
     assert len(rows) == 72
     server = ClusterServer(
-        compiled=compiled, nodes=2, node_workers=0, deadline_ms=0.0,
+        compiled=compiled, nodes=2, node_workers=0,
         supervise_interval_s=0, plan_cache=None,
         autoscaler_config=AutoscalerConfig(min_nodes=2, max_nodes=3),
     ).start()
@@ -158,7 +158,7 @@ def test_cluster_scrape_matches_the_catalogue(compiled, train):
 
 def test_single_node_scrape_omits_only_cluster_families(compiled, train):
     rows = catalogue()
-    server = InferenceServer(compiled=compiled, deadline_ms=0.0).start()
+    server = InferenceServer(compiled=compiled).start()
     try:
         with Gateway(server,
                      authenticator=ApiKeyAuthenticator(TENANTS)) as gateway:

@@ -3,11 +3,13 @@
 Serving is a latency/throughput transform only: every request's answer
 must be bit-identical to running its spike train alone through
 :class:`~repro.ssnn.runtime.SushiRuntime`.  The tests pin that, plus the
-coalescing behaviour (batch_max, shape isolation), the lifecycle
-(start/stop/drain), validation, metrics and the pool-backed path.
+batching behaviour (no waiting, batch_max, shape isolation), the
+lifecycle (start/stop/drain), validation, metrics and the pool-backed
+path.
 """
 
 import queue
+import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -36,13 +38,27 @@ def expected_results(network, trains):
     return runtime.infer(network, trains)
 
 
+def hold_dispatcher(server):
+    """Stall the dispatcher inside its next batch until ``release`` is
+    set; ``entered`` is set once it is held.  Returns both events."""
+    entered, release = threading.Event(), threading.Event()
+    original = server._forward
+
+    def held_forward(rows):
+        entered.set()
+        release.wait(timeout=10.0)
+        return original(rows)
+
+    server._forward = held_forward
+    return entered, release
+
+
 class TestServingEquivalence:
     def test_answers_match_the_runtime(self, workload):
         network, trains = workload
         want = expected_results(network, trains)
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=5.0,
         ) as server:
             futures = [
                 server.submit(trains[:, b, :])
@@ -62,7 +78,7 @@ class TestServingEquivalence:
     def test_accepts_precompiled_artifact(self, workload):
         network, trains = workload
         compiled = compile_network(network, CHIP_N, SC)
-        with InferenceServer(compiled=compiled, deadline_ms=0.0) as server:
+        with InferenceServer(compiled=compiled) as server:
             res = server.infer(trains[:, 0, :])
         want = expected_results(network, trains[:, :1, :])
         assert np.array_equal(res.output_raster, want.output_raster[:, 0, :])
@@ -71,7 +87,6 @@ class TestServingEquivalence:
         network, trains = workload
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
         ) as server:
             a = server.infer(trains[:, 0, :])
             b = server.infer(trains[:, 0:1, :])
@@ -82,7 +97,7 @@ class TestServingEquivalence:
         want = expected_results(network, trains)
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            workers=2, deadline_ms=20.0, batch_max=trains.shape[1],
+            workers=2, batch_max=trains.shape[1],
         ) as server:
             futures = [
                 server.submit(trains[:, b, :])
@@ -100,7 +115,7 @@ class TestCoalescing:
         network, trains = workload
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            batch_max=4, deadline_ms=50.0,
+            batch_max=4,
         ) as server:
             futures = [
                 server.submit(trains[:, b % trains.shape[1], :])
@@ -119,7 +134,7 @@ class TestCoalescing:
         want_short = expected_results(network, trains[:2, 1:2, :])
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            batch_max=64, deadline_ms=30.0,
+            batch_max=64,
         ) as server:
             futures = [
                 server.submit(short), server.submit(long),
@@ -135,6 +150,37 @@ class TestCoalescing:
             results[2].output_raster, check.output_raster[:, 0, :]
         )
         del want_short
+
+    def test_lone_request_is_not_held(self, workload):
+        """An idle dispatcher runs a lone request at once; the
+        constructor's ``deadline_ms`` is inert, not a window."""
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+            deadline_ms=60_000.0,
+        ) as server:
+            result = server.infer(trains[:, 0, :], timeout=5.0)
+        assert result.batch_size == 1
+
+    def test_requests_queued_during_a_batch_form_the_next_batch(
+            self, workload):
+        """Batches grow under load: what queues while a batch runs is
+        taken as the next batch, split only at a shape change."""
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+        ) as server:
+            entered, release = hold_dispatcher(server)
+            first = server.submit(trains[:, 0, :])
+            assert entered.wait(timeout=10.0)
+            queued = [server.submit(trains[:, b, :]) for b in (1, 2, 3)]
+            other = server.submit(trains[:2, 0, :])
+            release.set()
+            sizes = [f.result(timeout=30.0).batch_size
+                     for f in [first, *queued, other]]
+            stats = server.stats()
+        assert sizes == [1, 3, 3, 3, 1]
+        assert stats.batches == 3
 
 
 class TestLifecycleAndValidation:
@@ -174,7 +220,6 @@ class TestLifecycleAndValidation:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=1.0,
         ).start()
         futures = [server.submit(trains[:, b, :]) for b in range(6)]
         server.stop(drain=True)
@@ -185,7 +230,7 @@ class TestLifecycleAndValidation:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=200.0, batch_max=4096,
+            batch_max=4096,
         ).start()
         futures = [server.submit(trains[:, b, :]) for b in range(8)]
         server.stop(drain=False)
@@ -203,7 +248,6 @@ class TestLifecycleAndValidation:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
         )
         server.start()
         server.stop()
@@ -220,7 +264,6 @@ class TestMetrics:
         network, trains = workload
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=2.0,
         ) as server:
             for b in range(5):
                 server.infer(trains[:, b, :])
@@ -242,6 +285,30 @@ class TestMetrics:
         assert set(payload) >= {
             "fps", "sops", "latency_ms_p50", "mean_batch",
         }
+
+    def test_a_batch_is_counted_before_it_is_answered(self, workload):
+        """A caller holding an answer never reads stats() one batch
+        short: the batch is recorded before its futures resolve."""
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+        ) as server:
+            entered, release = hold_dispatcher(server)
+            future = server.submit(trains[:, 0, :])
+            assert entered.wait(timeout=10.0)
+            seen = []
+            called = threading.Event()
+
+            def on_done(done):
+                seen.append(server.stats())
+                called.set()
+
+            future.add_done_callback(on_done)
+            release.set()
+            future.result(timeout=30.0)
+            assert called.wait(timeout=10.0)
+        assert seen[0].completed == 1
+        assert seen[0].pending == 0
 
     def test_repr_shows_mode(self, workload):
         network, _ = workload
@@ -296,7 +363,7 @@ class TestRobustness:
         train = trains[:, 0, :]
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
+            batch_max=1,
         ) as server:
             original = server._forward
 
@@ -330,7 +397,7 @@ class TestRobustness:
         train = trains[:, 0, :]
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
+            batch_max=1,
         ) as server:
             original = server._forward
 
@@ -367,7 +434,7 @@ class TestRobustness:
         )
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0, breaker=breaker,
+            breaker=breaker,
         )
         server.start()
         try:
@@ -405,7 +472,6 @@ class TestRobustness:
         want = expected_results(network, trains[:, :1, :])
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
             breaker=CircuitBreaker(failure_threshold=1),
         )
         server.start()
@@ -430,7 +496,6 @@ class TestRobustness:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
         )
         assert not server.readiness()
         server.start()
@@ -455,7 +520,7 @@ class TestRobustness:
         network, trains = workload
         with InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            workers=2, deadline_ms=0.0,
+            workers=2,
         ) as server:
             if server._pool is None:
                 pytest.skip("pool unavailable on this platform")
@@ -469,7 +534,6 @@ class TestRobustness:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=1.0,
         ).start()
         futures = [server.submit(trains[:, b, :]) for b in range(6)]
         assert server.drain(timeout=30.0)
@@ -485,7 +549,6 @@ class TestRobustness:
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
         ).start()
         future = server.submit(trains[:, 0, :])
         assert server.drain(timeout=30.0)
@@ -503,12 +566,9 @@ class TestRobustness:
         """Several threads drain while requests are still executing:
         every drain must report True and every accepted request must
         resolve -- no strands, no crashes."""
-        import threading
-
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=1.0,
         ).start()
         original = server._forward
 
@@ -544,12 +604,9 @@ class TestRobustness:
         not yet enqueued its request must not be stranded by a
         concurrent drain().  The enqueue is stalled deterministically;
         drain must block on the in-flight admission, then both resolve."""
-        import threading
-
         network, trains = workload
         server = InferenceServer(
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
-            deadline_ms=0.0,
         ).start()
         entered = threading.Event()
         release = threading.Event()
