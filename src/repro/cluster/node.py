@@ -3,11 +3,12 @@
 A :class:`PoolNode` is the unit the cluster scales and kills: an
 independent :class:`~repro.ssnn.pool.InferencePool` process group (its
 shared-memory segment names embed the pool instance, so namespaces
-never collide across nodes), guarded by the node's *own*
+never collide across nodes), run through the node's *own*
+:class:`~repro.ssnn.pool.GuardedPool` and
 :class:`~repro.serve.breaker.CircuitBreaker` and observed through its
 own :class:`~repro.serve.metrics.MetricsRecorder` -- the same
-supervision surface :class:`~repro.serve.server.InferenceServer` wraps
-around a single pool, replicated per node.
+pool-or-serial step :class:`~repro.serve.server.InferenceServer` and
+:class:`~repro.ssnn.runtime.SushiRuntime` run, replicated per node.
 
 Execution contract: :meth:`PoolNode.infer_rows` is bit-identical to
 serial :meth:`CompiledNetwork.forward_rows` in every reachable state --
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.errors import ConfigurationError
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import MetricsRecorder, ServerStats
 from repro.ssnn.compile import CompiledNetwork
-from repro.ssnn.pool import InferencePool, PoisonBatchError
+from repro.ssnn.pool import GuardedPool
 
 ACTIVE = "active"
 DRAINING = "draining"
@@ -71,15 +72,13 @@ class PoolNode:
         compiled: The plan this node serves (all nodes of a cluster
             share one plan object in-process; each pool worker gets its
             own pickled copy).
-        workers: Pool worker processes; ``0``/``1`` serve serially in
-            the caller's process (cheap nodes for routing-only tests).
+        workers: Pool worker processes, spawned on construction;
+            ``0``/``1`` serve serially in the caller's process (cheap
+            nodes for routing-only tests), as do blocks of fewer than
+            ``2 x workers`` rows.
         breaker: Node-local circuit breaker (default thresholds when
             omitted; inject a fake-clock breaker in tests).
-        start_method / result_timeout_s / chaos_hook: Forwarded to the
-            node's :class:`~repro.ssnn.pool.InferencePool`.
     """
-
-    _DEGRADE_ERRORS = (ImportError, OSError, PermissionError, RuntimeError)
 
     def __init__(
         self,
@@ -88,34 +87,20 @@ class PoolNode:
         *,
         workers: int = 2,
         breaker: Optional[CircuitBreaker] = None,
-        start_method: Optional[str] = None,
-        result_timeout_s: float = 60.0,
-        chaos_hook: Optional[Callable] = None,
     ):
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
         self.node_id = node_id
         self.compiled = compiled
         self.workers = workers
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self._guard = GuardedPool(compiled, workers, breaker).open()
+        self.breaker = self._guard.breaker
         self.metrics = MetricsRecorder()
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._state = ACTIVE
         self._partitioned = False
         self._inflight = 0
-        self._pool: Optional[InferencePool] = None
-        if workers > 1:
-            try:
-                self._pool = InferencePool(
-                    compiled,
-                    workers=workers,
-                    start_method=start_method,
-                    result_timeout_s=result_timeout_s,
-                    chaos_hook=chaos_hook,
-                )
-            except self._DEGRADE_ERRORS:
-                self._pool = None  # serve serially; the node stays up
 
     # -- state ---------------------------------------------------------------
 
@@ -195,27 +180,7 @@ class PoolNode:
             )
 
     def _forward(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """The breaker-guarded pool path with serial fallback -- the
-        same failure semantics as ``InferenceServer._forward``, scoped
-        to this node."""
-        pool = self._pool
-        if pool is not None and not pool.closed and self.breaker.allow():
-            try:
-                result = pool.infer_rows(rows)
-            except PoisonBatchError:
-                self.breaker.record_success()
-                self.metrics.record_poison()
-            except self._DEGRADE_ERRORS:
-                if self._state == DEAD:
-                    raise NodeUnavailableError(
-                        f"node {self.node_id} died mid-call"
-                    )
-                self.breaker.record_failure()
-                self.metrics.record_pool_failure()
-            else:
-                self.breaker.record_success()
-                return result
-        return self.compiled.forward_rows(rows)
+        return self._guard.forward(rows)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -241,9 +206,7 @@ class PoolNode:
                 return
             if self._state != DEAD:
                 self._state = RETIRED
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        self._guard.close()
 
     def kill(self) -> None:
         """Chaos: abrupt whole-node death (host power-off).  Worker
@@ -252,7 +215,7 @@ class PoolNode:
         serves again.  Call :meth:`retire` afterwards to reap the pool
         resources."""
         self._state = DEAD
-        pool = self._pool
+        pool = self._guard.pool
         if pool is not None:
             for proc in list(pool._procs):
                 try:
@@ -271,21 +234,14 @@ class PoolNode:
     # -- observability -------------------------------------------------------
 
     def alive_workers(self) -> int:
-        pool = self._pool
-        return pool.alive_workers() if pool is not None else 0
+        return self._guard.stats()["workers_alive"]
 
     def restarts(self) -> int:
-        pool = self._pool
-        return pool.restarts if pool is not None else 0
+        return self._guard.stats()["worker_restarts"]
 
     def stats(self) -> ServerStats:
-        pool = self._pool
         return self.metrics.snapshot(
-            breaker_state=self.breaker.state,
-            workers_configured=(self.workers if pool is not None else 0),
-            workers_alive=self.alive_workers(),
-            worker_restarts=self.restarts(),
-            queue_depth=self._inflight,
+            queue_depth=self._inflight, **self._guard.stats()
         )
 
     def health(self) -> Dict:
@@ -309,7 +265,7 @@ class PoolNode:
         self.retire()
 
     def __repr__(self) -> str:
-        mode = (f"pool[{self.workers}]" if self._pool is not None
+        mode = (f"pool[{self.workers}]" if self._guard.pool is not None
                 else "serial")
         return (f"<PoolNode {self.node_id} {self._state} {mode} "
                 f"breaker={self.breaker.state} "

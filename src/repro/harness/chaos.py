@@ -227,14 +227,6 @@ class _FlakyPool:
         return self._inner.infer_rows(rows)
 
     @property
-    def closed(self):
-        return self._inner.closed
-
-    @property
-    def compiled(self):
-        return self._inner.compiled
-
-    @property
     def workers(self):
         return self._inner.workers
 
@@ -409,10 +401,11 @@ def _scenario_breaker_cycle(quick: bool, marker_dir: str) -> Dict:
     )
     server.start()
     try:
-        _check(server._pool is not None,
+        guard = server._guard
+        _check(guard.pool is not None,
                "breaker-cycle: server failed to spawn its pool")
-        flaky = _FlakyPool(server._pool, failures=2)
-        server._pool = flaky
+        flaky = _FlakyPool(guard.pool, failures=2)
+        guard.pool = flaky
         states: List[str] = [breaker.state]
         predictions: List[int] = []
         for _ in range(3):  # 2 failures trip the breaker open

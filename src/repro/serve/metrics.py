@@ -9,10 +9,10 @@ server's memory stays O(1).
 Robustness counters (this layer's contribution to the supervision story
 in ``docs/SERVING.md``): ``expired`` (requests whose per-request
 deadline lapsed while queued), ``cancelled`` (futures cancelled by the
-caller before dispatch), ``pool_failures`` (batches that fell back to
-serial after a pool error), ``poison_batches`` (batches quarantined by
-:class:`~repro.ssnn.pool.PoisonBatchError`), plus the point-in-time
-breaker / worker / queue fields the server injects at snapshot time.
+caller before dispatch), plus the fields the server injects at
+snapshot time: the ``pool_failures`` and ``poison_batches`` counters
+and the breaker and worker gauges of its
+:class:`~repro.ssnn.pool.GuardedPool`, and the queue depth.
 """
 
 from __future__ import annotations
@@ -207,8 +207,6 @@ class MetricsRecorder:
         self.synaptic_ops = 0
         self.expired = 0
         self.cancelled = 0
-        self.pool_failures = 0
-        self.poison_batches = 0
 
     def record_submit(self, n: int = 1) -> None:
         with self._lock:
@@ -239,18 +237,12 @@ class MetricsRecorder:
         with self._lock:
             self.cancelled += n
 
-    def record_pool_failure(self) -> None:
-        with self._lock:
-            self.pool_failures += 1
-
-    def record_poison(self) -> None:
-        with self._lock:
-            self.poison_batches += 1
-
     def snapshot(
         self,
         *,
         breaker_state: str = "closed",
+        pool_failures: int = 0,
+        poison_batches: int = 0,
         workers_configured: int = 0,
         workers_alive: int = 0,
         worker_restarts: int = 0,
@@ -278,8 +270,8 @@ class MetricsRecorder:
                 uptime_s=uptime,
                 expired=self.expired,
                 cancelled=self.cancelled,
-                pool_failures=self.pool_failures,
-                poison_batches=self.poison_batches,
+                pool_failures=pool_failures,
+                poison_batches=poison_batches,
                 pending=max(0, self.requests - resolved),
                 breaker_state=breaker_state,
                 workers_configured=workers_configured,

@@ -12,18 +12,19 @@ This is the default of Triton's dynamic batcher
 (``max_queue_delay_microseconds: 0``).  Answers do not depend on batch
 composition: ``forward_rows`` treats every row independently.
 
-Failure semantics (see ``docs/SERVING.md``): the pool resurrects its
-own workers, so transient chaos heals *inside* a call; a pool call that
-still fails counts against a :class:`~repro.serve.breaker.CircuitBreaker`
-and the batch re-runs serially (identical answers).  The breaker opens
-after ``K`` consecutive pool failures, skips the pool while open, and
-probes it half-open after a cool-down -- the server never permanently
-discards a pool that might heal.  A
-:class:`~repro.ssnn.pool.PoisonBatchError` is *not* a pool failure: the
-pool already restored itself and fingered the row block, so the batch
-runs serially and the breaker records a success.  Per-request
-``deadline_ms`` bounds let callers cap queueing delay: requests whose
-deadline lapsed while queued fail with
+Failure semantics (see ``docs/SERVING.md``): the pool resurrects its own
+workers, so transient chaos heals *inside* a call.  Batches run through
+a :class:`~repro.ssnn.pool.GuardedPool`, the pool-or-serial step the
+runtime and the cluster nodes share: a pool call that still fails counts
+against a :class:`~repro.serve.breaker.CircuitBreaker` and the batch
+re-runs serially (identical answers).  The breaker opens after ``K``
+consecutive pool failures, skips the pool while open, and probes it
+half-open after a cool-down -- the server never permanently discards a
+pool that might heal.  A :class:`~repro.ssnn.pool.PoisonBatchError` is
+*not* a pool failure: the pool already restored itself and fingered the
+row block, so the batch runs serially and the breaker records a success.
+Per-request ``deadline_ms`` bounds let callers cap queueing delay:
+requests whose deadline lapsed while queued fail with
 :class:`~repro.errors.DeadlineExceededError` at dispatch time, and
 futures cancelled by the caller (e.g. an :meth:`InferenceServer.infer`
 timeout) are skipped instead of burning a batch slot.
@@ -55,7 +56,7 @@ from repro.ssnn.compile import (
     compile_network,
     resolve_plan_cache,
 )
-from repro.ssnn.pool import PoisonBatchError
+from repro.ssnn.pool import GuardedPool
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ class InferenceServer:
             to fill; the argument is still accepted (and must be
             ``>= 0``) only so existing callers keep working.  The
             per-request ``submit(deadline_ms=)`` bound is unrelated.
-        workers: ``> 1`` shards batches across a persistent supervised
-            :class:`~repro.ssnn.pool.InferencePool`; ``0``/``1`` run
+        workers: ``> 1`` shards batches of at least ``2 x workers``
+            rows across a persistent supervised
+            :class:`~repro.ssnn.pool.InferencePool`; other batches run
             in the dispatcher thread.  Pool failures fall back to serial
             for that batch (served results are identical) and count
             against the circuit breaker.
@@ -156,7 +158,8 @@ class InferenceServer:
         self.compiled = compiled
         self.batch_max = batch_max
         self.workers = workers
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self._guard = GuardedPool(compiled, workers, breaker)
+        self.breaker = self._guard.breaker
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=queue_max)
         self._holdback: Optional[_Request] = None
         # Guards the accepting-check/enqueue handshake against drain():
@@ -166,7 +169,6 @@ class InferenceServer:
         self._admission_lock = threading.Lock()
         self._admissions = 0
         self._metrics = MetricsRecorder()
-        self._pool = None
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self._accepting = False
@@ -177,15 +179,7 @@ class InferenceServer:
     def start(self) -> "InferenceServer":
         if self._running:
             return self
-        if self.workers > 1 and self._pool is None:
-            from repro.ssnn.pool import InferencePool
-
-            try:
-                self._pool = InferencePool(
-                    self.compiled, workers=self.workers
-                )
-            except self._DEGRADE_ERRORS:
-                self._pool = None  # serve serially
+        self._guard.open()
         self._stopping.clear()
         self._running = True
         self._accepting = True
@@ -200,7 +194,7 @@ class InferenceServer:
         requests are answered first; otherwise they fail fast with a
         :class:`ConfigurationError`."""
         if not self._running:
-            self._release_pool()
+            self._guard.close()
             return
         self._accepting = False
         if not drain:
@@ -212,7 +206,7 @@ class InferenceServer:
         self._running = False
         self._thread = None
         self._fail_pending("server stopped before this request ran")
-        self._release_pool()
+        self._guard.close()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Stop accepting new requests and wait until every accepted
@@ -246,11 +240,6 @@ class InferenceServer:
                 return False
         return (self._queue.empty() and self._holdback is None
                 and self.stats().pending == 0)
-
-    def _release_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     def _fail_pending(self, reason: str) -> None:
         pending: List[_Request] = []
@@ -367,14 +356,8 @@ class InferenceServer:
         return self._queue.qsize() + (1 if self._holdback is not None else 0)
 
     def stats(self) -> ServerStats:
-        pool = self._pool
-        queue_depth = self.queue_depth()
         return self._metrics.snapshot(
-            breaker_state=self.breaker.state,
-            workers_configured=(self.workers if pool is not None else 0),
-            workers_alive=(pool.alive_workers() if pool is not None else 0),
-            worker_restarts=(pool.restarts if pool is not None else 0),
-            queue_depth=queue_depth,
+            queue_depth=self.queue_depth(), **self._guard.stats()
         )
 
     def health(self) -> Dict:
@@ -385,7 +368,7 @@ class InferenceServer:
             "running": self._running,
             "accepting": self._accepting,
             "ready": self.readiness(),
-            "mode": "pool" if self._pool is not None else "serial",
+            "mode": "pool" if self._guard.pool is not None else "serial",
             "breaker": self.breaker.snapshot().to_dict(),
             "stats": stats.to_dict(),
         }
@@ -401,8 +384,6 @@ class InferenceServer:
         return server_stats_families(self.stats())
 
     # -- dispatcher ----------------------------------------------------------
-
-    _DEGRADE_ERRORS = (ImportError, OSError, PermissionError, RuntimeError)
 
     def _admit(self, request: _Request) -> bool:
         """Dispatch-time admission: skip cancelled futures and expire
@@ -488,30 +469,10 @@ class InferenceServer:
             self._metrics.record_failure(len(batch))
 
     def _forward(self, rows: np.ndarray):
-        pool = self._pool
-        if pool is not None and not pool.closed and self.breaker.allow():
-            try:
-                result = pool.infer_rows(rows)
-            except PoisonBatchError:
-                # The pool healed itself and quarantined this row block;
-                # that is a pool *success* (the block is the suspect).
-                # Run this batch serially and keep the pool.
-                self.breaker.record_success()
-                self._metrics.record_poison()
-            except self._DEGRADE_ERRORS:
-                # Pool call failed even after supervision: count it
-                # toward the breaker and serve this batch serially.
-                # The pool is kept -- the breaker decides when (and
-                # whether) to try it again.
-                self.breaker.record_failure()
-                self._metrics.record_pool_failure()
-            else:
-                self.breaker.record_success()
-                return result
-        return self.compiled.forward_rows(rows)
+        return self._guard.forward(rows)
 
     def __repr__(self) -> str:
-        mode = (f"pool[{self.workers}]" if self._pool is not None
+        mode = (f"pool[{self.workers}]" if self._guard.pool is not None
                 else "serial")
         state = "running" if self._running else "stopped"
         return (f"<InferenceServer {state} {mode} "

@@ -75,6 +75,10 @@ its respawn replaces) and never a lock the other workers need:
 Zero-failure overhead of all of the above is a 16-byte header write per
 call plus per-shard dict bookkeeping -- gated below 5% against the
 pre-supervision pool replica by ``benchmarks/test_supervision_overhead.py``.
+
+The runtime, the serving layer and the cluster nodes reach the pool
+through one :class:`GuardedPool`, which holds their shared policy: the
+row rule, the circuit breaker and the serial fallback.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs import Counters
 from repro.ssnn.compile import CompiledNetwork
 
 #: Bytes reserved at the head of the input segment for the packed
@@ -112,8 +117,8 @@ _MAX_SEGMENT_ROUNDS = 3
 class InferencePoolError(RuntimeError):
     """The pool cannot serve (worker died, closed pool, bad shard).
 
-    Derives from :class:`RuntimeError` so existing degrade-to-serial
-    ``except`` clauses catch it alongside ``BrokenProcessPool``.
+    Derives from :class:`RuntimeError`, so :data:`POOL_ERRORS` covers
+    it.
     """
 
 
@@ -121,11 +126,17 @@ class PoisonBatchError(InferencePoolError):
     """A row block killed pool workers in two recovery rounds.
 
     The pool has already been restored to its full worker count when
-    this is raised; the *block* is the suspect, not the pool.  Callers
-    (the runtime and the serving layer) run the quarantined block
-    serially -- bit-identical, only slower -- and keep using the pool
-    for subsequent blocks.
+    this is raised; the *block* is the suspect, not the pool.
+    :meth:`GuardedPool.forward` runs the quarantined block serially --
+    bit-identical, only slower -- and keeps using the pool for
+    subsequent blocks.
     """
+
+
+#: Pool errors that send a block to serial execution: a missing or
+#: forbidden multiprocessing stack, and mid-run pool failures
+#: (:class:`InferencePoolError` is a RuntimeError).
+POOL_ERRORS = (ImportError, OSError, PermissionError, RuntimeError)
 
 
 def _attach_shm(name: str):
@@ -227,8 +238,13 @@ def _worker_main(slot, payload, tasks, results, blas_threads,
 
     Workers ignore SIGINT: a terminal's Ctrl-C reaches the whole
     process group, and only the parent decides when the pool closes.
+    The worker starts with SIGINT blocked (see
+    :meth:`InferencePool._spawn`), so one that lands during start-up
+    stays pending and is discarded here, when the handler becomes
+    ``SIG_IGN``, before SIGINT is unblocked.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _blas_threads(cap=blas_threads)
     compiled: CompiledNetwork = pickle.loads(payload)
     while True:
@@ -338,8 +354,6 @@ class InferencePool:
         compiled: The :class:`~repro.ssnn.compile.CompiledNetwork` every
             worker executes (shipped once, at spawn).
         workers: Worker process count (>= 1).
-        start_method: ``multiprocessing`` start method (``None`` = the
-            platform default; ``fork`` on Linux).
         result_timeout_s: Progress deadline: maximum wait without any
             shard landing before the workers still holding shards are
             presumed frozen, force-killed and respawned.
@@ -353,8 +367,8 @@ class InferencePool:
     by an internal lock) -- the serving layer funnels batches through a
     single dispatcher thread anyway.
 
-    Supervision surface: :meth:`alive_workers`, :attr:`restarts`,
-    :meth:`ensure_workers` (respawn any dead workers between calls) and
+    Supervision surface: :meth:`alive_workers`, :attr:`restarts` (dead
+    workers are respawned at the start of the next call) and
     :class:`PoisonBatchError` for quarantined row blocks.
     """
 
@@ -362,7 +376,6 @@ class InferencePool:
         self,
         compiled: CompiledNetwork,
         workers: int = 2,
-        start_method: Optional[str] = None,
         result_timeout_s: float = 60.0,
         chaos_hook: Optional[Callable] = None,
     ):
@@ -375,7 +388,7 @@ class InferencePool:
         self.compiled = compiled
         self.workers = workers
         self.result_timeout_s = result_timeout_s
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context()
         self._lock = threading.Lock()
         self._jobs = itertools.count()
         self._segments: List = []  # [input shm, output shm] when allocated
@@ -421,7 +434,14 @@ class InferencePool:
             daemon=True,
             name=f"sushi-infer-{slot}",
         )
-        proc.start()
+        # The child inherits this thread's signal mask: with SIGINT
+        # blocked across the fork, a Ctrl-C during the worker's start-up
+        # stays pending until _worker_main ignores it.
+        old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
         # The worker now holds the only write end, so its death reads as
         # EOF and can never leave a lock held that other workers need.
         writer.close()
@@ -469,15 +489,6 @@ class InferencePool:
             if not proc.is_alive():
                 for _task in self._respawn_locked(slot):
                     self._stale_tasks = max(0, self._stale_tasks - 1)
-
-    def ensure_workers(self) -> int:
-        """Respawn any dead workers and return the alive count (the
-        serving layer's health probe)."""
-        with self._lock:
-            if self._closed:
-                return 0
-            self._supervise_locked()
-            return self.alive_workers()
 
     # -- buffers -------------------------------------------------------------
 
@@ -786,3 +797,106 @@ class InferencePool:
         return (f"<InferencePool workers={self.workers} ({state}) "
                 f"restarts={self._restarts} "
                 f"plan={self.compiled.fingerprint[:12]}>")
+
+
+class GuardedPool:
+    """The one pool-or-serial step.  :class:`~repro.ssnn.runtime
+    .SushiRuntime`, :class:`~repro.serve.server.InferenceServer` and
+    :class:`~repro.cluster.node.PoolNode` all run row blocks through it,
+    so they share one policy:
+
+    * **Row rule.**  A block goes to the pool only when it has at least
+      ``2 x workers`` rows; smaller blocks run serially.
+    * **Breaker.**  Such a block then needs ``breaker.allow()``, asked
+      after the row rule because a granted half-open ``allow()`` uses
+      up the probe.  A pool success is recorded as one.  So is a
+      :class:`PoisonBatchError` (the pool healed and fingered the
+      block), and that block runs serially.  Any other of
+      :data:`POOL_ERRORS` is recorded as a failure, and that block runs
+      serially.  The pool is kept either way.
+    * **Spawn or degrade.**  :meth:`open`, or else the first block that
+      meets the row rule, spawns the pool; one that cannot be built
+      leaves the guard serial (``pool`` stays ``None``).
+
+    Every path is bit-identical to ``compiled.forward_rows``.
+
+    Args:
+        compiled: The plan every row block runs through.
+        workers: Pool worker processes; ``0``/``1`` keep the guard
+            serial.
+        breaker: The :class:`~repro.serve.breaker.CircuitBreaker`
+            guarding the pool; a default one when omitted.
+    """
+
+    def __init__(self, compiled: CompiledNetwork, workers: int,
+                 breaker=None):
+        if breaker is None:
+            # Imported here: repro.serve imports this module.
+            from repro.serve.breaker import CircuitBreaker
+
+            breaker = CircuitBreaker()
+        self.compiled = compiled
+        self.workers = workers
+        self.breaker = breaker
+        self.pool: Optional[InferencePool] = None
+        self._may_spawn = True
+        self._counts = Counters("sushi_pool", {
+            "pool_failures": "Blocks run serially after a pool error",
+            "poison_batches": "Blocks quarantined as poison, run serially",
+        })
+
+    def open(self) -> "GuardedPool":
+        """Spawn the pool now, unless the guard has one already."""
+        self._may_spawn = True
+        self._spawned()
+        return self
+
+    def close(self) -> None:
+        """Release the pool.  Only :meth:`open` spawns another, so a
+        block still in flight cannot respawn it."""
+        self._may_spawn = False
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            pool.close()
+
+    def _spawned(self) -> Optional[InferencePool]:
+        """The pool, after at most one spawn attempt per :meth:`open`: a
+        pool that cannot be built leaves the guard serial."""
+        if self.pool is None and self._may_spawn and self.workers > 1:
+            self._may_spawn = False
+            try:
+                self.pool = InferencePool(self.compiled, workers=self.workers)
+            except POOL_ERRORS:
+                pass
+        return self.pool
+
+    def forward(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """``rows -> (decisions, spurious, synops)`` on the pool when the
+        row rule and then the breaker allow it, serially otherwise."""
+        if rows.shape[0] >= 2 * self.workers:
+            pool = self._spawned()
+            if pool is not None and self.breaker.allow():
+                try:
+                    result = pool.infer_rows(rows)
+                except PoisonBatchError:
+                    self.breaker.record_success()
+                    self._counts.inc("poison_batches")
+                except POOL_ERRORS:
+                    self.breaker.record_failure()
+                    self._counts.inc("pool_failures")
+                else:
+                    self.breaker.record_success()
+                    return result
+        return self.compiled.forward_rows(rows)
+
+    def stats(self) -> Dict[str, object]:
+        """Breaker state, pool counters and worker gauges, as keyword
+        arguments of :meth:`repro.serve.metrics.MetricsRecorder.snapshot`."""
+        pool = self.pool
+        return {
+            "breaker_state": self.breaker.state,
+            **self._counts.snapshot(),
+            "workers_configured": pool.workers if pool is not None else 0,
+            "workers_alive": pool.alive_workers() if pool is not None else 0,
+            "worker_restarts": pool.restarts if pool is not None else 0,
+        }

@@ -44,6 +44,7 @@ from repro.ssnn.compile import (
     compile_network,
     resolve_plan_cache,
 )
+from repro.ssnn.pool import GuardedPool
 
 
 def _stable_seed(*parts) -> int:
@@ -234,7 +235,11 @@ class SushiRuntime:
             changes wall-clock time).  The workers are a long-lived
             :class:`~repro.ssnn.pool.InferencePool`: spawned on first
             use, fed through shared memory, reused across ``infer``
-            calls, released by :meth:`close` (or GC).
+            calls, released by :meth:`close` (or GC).  Blocks reach it
+            through a :class:`~repro.ssnn.pool.GuardedPool` with a
+            default circuit breaker, under the policy the server and
+            the cluster nodes share (blocks of fewer than
+            ``2 x max_workers`` rows run serially).
         plan_cache: ``"default"`` (share the process-wide on-disk
             :class:`~repro.ssnn.compile.PlanCache`), ``None`` (compile
             in memory only) or an explicit :class:`PlanCache`.
@@ -281,7 +286,7 @@ class SushiRuntime:
         self.plan_cache: Optional[PlanCache] = resolve_plan_cache(plan_cache)
         self._plan_cache: dict = {}
         self._compiled_memo: dict = {}
-        self._pool = None  # lazily-built InferencePool
+        self._guard: Optional[GuardedPool] = None  # built on first use
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -289,9 +294,9 @@ class SushiRuntime:
         """Release the persistent worker pool (if one was spawned).
         Safe to call repeatedly; the runtime stays usable (a fresh pool
         is spawned on the next parallel dispatch)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        guard, self._guard = self._guard, None
+        if guard is not None:
+            guard.close()
 
     def __enter__(self) -> "SushiRuntime":
         return self
@@ -510,62 +515,17 @@ class SushiRuntime:
     def _forward_rows(self, network, rows):
         """The fast engine's row computation: ``rows -> (decisions,
         spurious, synops, reloads per row)`` through the compiled
-        artifact, serially or on the worker pool."""
+        artifact and the runtime's :class:`~repro.ssnn.pool.GuardedPool`,
+        rebuilt when the plan or ``max_workers`` changes."""
         compiled = self._compiled_for(network)
-        decisions, spurious, synops = self._dispatch_rows_compiled(
-            compiled, rows
-        )
-        return decisions, spurious, synops, compiled.reload_events
-
-    # Degrade-to-serial exception set: a missing/forbidden multiprocessing
-    # stack (ImportError/OSError/PermissionError) and mid-run pool
-    # failures -- the RuntimeErrors raised by bad spawn contexts and
-    # InferencePoolError both derive from RuntimeError.  Sharding is by
-    # rows, so the serial fallback is bit-identical, only slower.
-    _POOL_FALLBACK_ERRORS = (
-        ImportError, OSError, PermissionError, RuntimeError,
-    )
-
-    def _want_parallel(self, n_rows: int) -> int:
-        """Worker count to use for an ``n_rows`` block (0 = serial)."""
         workers = self.max_workers or 0
-        if workers > 1 and n_rows >= 2 * workers:
-            return workers
-        return 0
-
-    def _dispatch_rows_compiled(self, compiled, rows):
-        """Serial or pool execution of the row block through the
-        compiled artifact."""
-        from repro.ssnn.pool import PoisonBatchError
-
-        if self._want_parallel(rows.shape[0]):
-            try:
-                return self._pool_for(compiled).infer_rows(rows)
-            except PoisonBatchError:
-                # The pool quarantined this row block after it killed
-                # workers twice; the pool itself already healed, so
-                # keep it and run only this block serially.
-                pass
-            except self._POOL_FALLBACK_ERRORS:
-                self.close()  # drop a broken pool; respawn on next call
-        return compiled.forward_rows(rows)
-
-    def _pool_for(self, compiled):
-        """The lazily-spawned persistent pool, rebuilt when the compiled
-        plan (or worker count) it serves has changed."""
-        from repro.ssnn.pool import InferencePool
-
-        pool = self._pool
-        if (
-            pool is None
-            or pool.closed
-            or pool.compiled.fingerprint != compiled.fingerprint
-            or pool.workers != self.max_workers
-        ):
+        guard = self._guard
+        if (guard is None or guard.workers != workers
+                or guard.compiled.fingerprint != compiled.fingerprint):
             self.close()
-            pool = InferencePool(compiled, workers=self.max_workers)
-            self._pool = pool
-        return pool
+            guard = self._guard = GuardedPool(compiled, workers)
+        decisions, spurious, synops = guard.forward(rows)
+        return decisions, spurious, synops, compiled.reload_events
 
     # -- behavioural engine ------------------------------------------------------
 

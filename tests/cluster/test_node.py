@@ -53,7 +53,7 @@ class TestExecution:
         compiled, rows = workload
         want = compiled.forward_rows(rows)
         with PoolNode("n0", compiled, workers=2) as node:
-            if node._pool is None:
+            if node._guard.pool is None:
                 pytest.skip("pool unavailable on this platform")
             got = node.infer_rows(rows)
             assert np.array_equal(got[0], want[0])
@@ -172,9 +172,9 @@ class TestLifecycle:
     def test_kill_sigkills_pool_workers(self, workload):
         compiled, _ = workload
         node = PoolNode("n0", compiled, workers=2)
-        if node._pool is None:
+        if node._guard.pool is None:
             pytest.skip("pool unavailable on this platform")
-        procs = list(node._pool._procs)
+        procs = list(node._guard.pool._procs)
         node.kill()
         deadline = time.monotonic() + 10.0
         while (any(p.is_alive() for p in procs)

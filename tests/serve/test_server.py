@@ -441,14 +441,14 @@ class TestRobustness:
             stub = _StubPool(
                 server.compiled, ["fail", "fail", "ok"]
             )
-            server._pool = stub
+            server._guard.pool = stub
             for _ in range(2):
                 res = server.infer(train, timeout=30.0)
                 assert np.array_equal(
                     res.output_raster, want.output_raster[:, 0, :]
                 )
             assert breaker.state == "open"
-            assert server._pool is stub  # kept, not released
+            assert server._guard.pool is stub  # kept, not released
             # While open the pool is skipped entirely.
             server.infer(train, timeout=30.0)
             assert stub.calls == 2
@@ -477,7 +477,7 @@ class TestRobustness:
         server.start()
         try:
             stub = _StubPool(server.compiled, ["poison", "ok"])
-            server._pool = stub
+            server._guard.pool = stub
             res = server.infer(train, timeout=30.0)
             assert np.array_equal(
                 res.output_raster, want.output_raster[:, 0, :]
@@ -522,7 +522,7 @@ class TestRobustness:
             network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
             workers=2,
         ) as server:
-            if server._pool is None:
+            if server._guard.pool is None:
                 pytest.skip("pool unavailable on this platform")
             server.infer(trains[:, 0, :], timeout=30.0)
             stats = server.stats()

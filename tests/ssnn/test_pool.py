@@ -5,11 +5,15 @@ The pool is a pure performance transform: every test here pins
 ``CompiledNetwork.forward_rows``, across shard counts, row-block sizes
 and buffer growth -- including under supervision events (worker death,
 freezes, poison quarantine), which must never change an answer, only
-the wall-clock and the ``restarts`` counter.
+the wall-clock and the ``restarts`` counter.  The same holds for the
+guarded pool-or-serial step (:class:`GuardedPool`) that the runtime,
+the server and the cluster nodes share.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -21,17 +25,21 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
 from repro.harness.chaos import FreezeHook, KillHook
+from repro.serve import CircuitBreaker
 from repro.ssnn import (
     InferencePool,
     InferencePoolError,
     PoisonBatchError,
     SushiRuntime,
     compile_network,
+    pool as pool_module,
 )
-from repro.ssnn.pool import _blas_threads
+from repro.ssnn.pool import GuardedPool, _blas_threads
+from tests.serve.test_server import _StubPool
 
 CHIP_N = 4
 SC = 8
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +52,36 @@ def compiled():
 def rows_for(compiled, n, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.random((n, compiled.in_features)) < 0.4).astype(np.float64)
+
+
+def spawn_stubs(monkeypatch, *script):
+    """Make every pool a :class:`GuardedPool` spawns a 2-worker
+    ``_StubPool`` running ``script``; returns the list of those spawned."""
+    spawned = []
+
+    def build(compiled, workers):
+        assert workers == 2
+        spawned.append(_StubPool(compiled, script))
+        return spawned[-1]
+
+    monkeypatch.setattr(pool_module, "InferencePool", build)
+    return spawned
+
+
+def assert_forward_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+def runtime_workload(seed):
+    """A small network, its spike trains and the serial runtime result."""
+    rng = np.random.default_rng(seed)
+    network = random_binarized_network(rng, sizes=(10, 7, 4), sc_per_npe=SC)
+    trains = random_spike_trains(rng, 3, 8, 10)
+    serial = SushiRuntime(
+        chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None
+    ).infer(network, trains)
+    return network, trains, serial
 
 
 class BlasThreadsHook:
@@ -140,18 +178,23 @@ class TestPoolLifecycle:
         finally:
             pool.close()
 
-    def test_ensure_workers_heals_between_calls(self, compiled):
+    def test_dead_idle_workers_heal_at_next_call(self, compiled):
+        """Both workers dying between calls are respawned by the next
+        call, which still answers bit-identically."""
+        rows = rows_for(compiled, 12, seed=4)
+        want = compiled.forward_rows(rows)
         pool = InferencePool(compiled, workers=2)
         try:
             for proc in pool._procs:
                 proc.terminate()
                 proc.join(timeout=5.0)
             assert pool.alive_workers() == 0
-            assert pool.ensure_workers() == 2
+            assert_forward_equal(pool.infer_rows(rows), want)
             assert pool.restarts == 2
+            assert pool.alive_workers() == 2
         finally:
             pool.close()
-        assert pool.ensure_workers() == 0  # closed pool stays down
+        assert pool.alive_workers() == 0  # closed pool stays down
 
     def test_close_races_in_flight_infer(self, compiled):
         """close() concurrent with an in-flight infer_rows: the call
@@ -183,8 +226,8 @@ class TestPoolLifecycle:
         self, compiled, monkeypatch
     ):
         """A spawn failing part-way through construction must not leave
-        the workers already started running (the runtime rebuilds its
-        pool on every call after a failure, so each leak would repeat)."""
+        the workers already started running (a caller that cannot build
+        its pool serves serially, and would never reap them)."""
         spawn = InferencePool._spawn
 
         def spawn_fails_for_slot_1(pool, slot):
@@ -377,43 +420,53 @@ class TestRuntimeIntegration:
         assert pooled.reload_events == serial.reload_events
         assert np.array_equal(again.output_raster, serial.output_raster)
 
-    def test_runtime_keeps_pool_on_poison_batch(self):
+    def test_runtime_keeps_pool_on_poison_batch(self, monkeypatch):
         """PoisonBatchError routes the block serially *without* tearing
-        the pool down (every other pool failure still drops it)."""
-        rng = np.random.default_rng(33)
-        network = random_binarized_network(
-            rng, sizes=(10, 7, 4), sc_per_npe=SC
-        )
-        trains = random_spike_trains(rng, 3, 8, 10)
-        serial = SushiRuntime(
-            chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None
-        ).infer(network, trains)
-
-        class _QuarantiningPool:
-            calls = 0
-
-            def infer_rows(self, rows):
-                type(self).calls += 1
-                raise PoisonBatchError("chaos: quarantined")
-
+        the pool down, and counts as a breaker success."""
+        network, trains, serial = runtime_workload(33)
+        spawned = spawn_stubs(monkeypatch, "poison", "poison")
         runtime = SushiRuntime(
             chip_n=CHIP_N, sc_per_npe=SC, max_workers=2, plan_cache=None,
         )
-        closes = []
-        original_close = runtime.close
-        runtime._pool_for = lambda compiled: _QuarantiningPool()
-        runtime.close = lambda: closes.append(True)
         try:
             poisoned = runtime.infer(network, trains)
+            guard = runtime._guard
+            assert guard.pool is spawned[0]  # the pool was NOT dropped
+            assert guard.breaker.state == "closed"
+            assert guard.stats()["poison_batches"] == 1
+            runtime.infer(network, trains)
+            assert len(spawned) == 1 and guard.pool is spawned[0]
         finally:
-            runtime.close = original_close
             runtime.close()
-        assert _QuarantiningPool.calls >= 1
-        assert not closes  # the pool was NOT dropped
+        assert spawned[0].calls >= 1
         assert np.array_equal(
             poisoned.output_raster, serial.output_raster
         )
         assert poisoned.synaptic_ops == serial.synaptic_ops
+
+    def test_runtime_keeps_pool_on_pool_failure(self, monkeypatch):
+        """A pool error runs the block serially, counts against the
+        runtime's breaker and keeps the same pool."""
+        network, trains, serial = runtime_workload(34)
+        spawned = spawn_stubs(monkeypatch, "fail")
+        runtime = SushiRuntime(
+            chip_n=CHIP_N, sc_per_npe=SC, max_workers=2, plan_cache=None,
+        )
+        try:
+            failed = runtime.infer(network, trains)
+            guard = runtime._guard
+            assert len(spawned) == 1 and guard.pool is spawned[0]
+            assert guard.breaker.snapshot().consecutive_failures == 1
+            assert guard.stats()["pool_failures"] == 1
+            again = runtime.infer(network, trains)
+            assert len(spawned) == 1 and spawned[0].calls == 2
+            assert guard.breaker.snapshot().consecutive_failures == 0
+        finally:
+            runtime.close()
+        for result in (failed, again):
+            assert np.array_equal(result.output_raster, serial.output_raster)
+            assert result.spurious_decisions == serial.spurious_decisions
+            assert result.synaptic_ops == serial.synaptic_ops
 
     def test_runtime_degrades_to_serial_when_pool_dies(self):
         rng = np.random.default_rng(32)
@@ -429,10 +482,93 @@ class TestRuntimeIntegration:
         ) as runtime:
             first = runtime.infer(network, trains)
             # Kill the pool workers behind the runtime's back.
-            for proc in runtime._pool._procs:
+            for proc in runtime._guard.pool._procs:
                 proc.terminate()
                 proc.join(timeout=5.0)
             healed = runtime.infer(network, trains)
         assert np.array_equal(first.output_raster, serial.output_raster)
         assert np.array_equal(healed.output_raster, serial.output_raster)
         assert healed.synaptic_ops == serial.synaptic_ops
+
+
+class TestGuardedPool:
+    def test_row_rule_boundary(self, compiled):
+        """A block of ``2 x workers - 1`` rows never reaches the pool; a
+        block of ``2 x workers`` rows does."""
+        guard = GuardedPool(compiled, workers=2)
+        stub = guard.pool = _StubPool(compiled, [])
+        small = rows_for(compiled, 3, seed=1)
+        assert_forward_equal(guard.forward(small),
+                             compiled.forward_rows(small))
+        assert stub.calls == 0
+        large = rows_for(compiled, 4, seed=2)
+        assert_forward_equal(guard.forward(large),
+                             compiled.forward_rows(large))
+        assert stub.calls == 1
+
+    def test_small_block_leaves_the_half_open_probe(self, compiled):
+        """The row rule is checked before ``allow()``: a small block in
+        half-open runs serially without taking the probe, so the next
+        large block still probes the pool and closes the breaker."""
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
+                                 clock=lambda: now[0])
+        guard = GuardedPool(compiled, workers=2, breaker=breaker)
+        stub = guard.pool = _StubPool(compiled, ["fail"])
+        tripping = rows_for(compiled, 6, seed=3)
+        assert_forward_equal(guard.forward(tripping),
+                             compiled.forward_rows(tripping))
+        assert breaker.state == "open"
+        now[0] += 6.0
+        probes = breaker.snapshot().probes
+        one = rows_for(compiled, 1, seed=4)
+        assert_forward_equal(guard.forward(one), compiled.forward_rows(one))
+        assert breaker.state == "half-open"
+        assert breaker.snapshot().probes == probes
+        assert stub.calls == 1
+        six = rows_for(compiled, 6, seed=5)
+        assert_forward_equal(guard.forward(six), compiled.forward_rows(six))
+        assert stub.calls == 2
+        assert breaker.snapshot().probes == probes + 1
+        assert breaker.state == "closed"
+        assert guard.stats()["pool_failures"] == 1
+
+
+#: Builds a 2-worker pool and SIGINTs both workers straight away, ten
+#: times; prints the total worker restarts.
+SIGINT_PROBE = """
+import os, signal
+import numpy as np
+from repro.harness.differential import random_binarized_network
+from repro.ssnn import InferencePool, compile_network
+
+network = random_binarized_network(
+    np.random.default_rng(21), sizes=(12, 9, 5), sc_per_npe=8)
+compiled = compile_network(network, 4, 8)
+rows = (np.random.default_rng(0).random((8, compiled.in_features))
+        < 0.4).astype(np.float64)
+restarts = 0
+for _ in range(10):
+    with InferencePool(compiled, workers=2) as pool:
+        for proc in pool._procs:
+            os.kill(proc.pid, signal.SIGINT)
+        pool.infer_rows(rows)
+        restarts += pool.restarts
+print(restarts)
+"""
+
+
+def test_sigint_during_worker_start_is_ignored():
+    """A Ctrl-C that lands while a worker is still starting up neither
+    raises KeyboardInterrupt in it nor costs a respawn."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", SIGINT_PROBE], capture_output=True,
+        text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "KeyboardInterrupt" not in done.stderr
+    assert done.stdout.strip() == "0"
