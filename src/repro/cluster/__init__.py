@@ -28,11 +28,7 @@ from repro.cluster.node import (
     PoolNode,
 )
 from repro.cluster.ring import ConsistentHashRing
-from repro.cluster.router import (
-    CLUSTER_SCHEMA,
-    ClusterRouter,
-    ClusterUnavailableError,
-)
+from repro.cluster.router import CLUSTER_SCHEMA, ClusterRouter
 from repro.cluster.service import ClusterServer
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "AutoscalerConfig",
     "ClusterRouter",
     "ClusterServer",
-    "ClusterUnavailableError",
     "ConsistentHashRing",
     "NodeUnavailableError",
     "PoolNode",

@@ -36,6 +36,10 @@ from repro.cluster.router import ClusterRouter
 SCALE_UP = "scale-up"
 SCALE_DOWN = "scale-down"
 
+#: Scale actions retained in :attr:`Autoscaler.events` (oldest dropped
+#: first); the 1 -> 8 -> 1 scale storm takes 14.
+_EVENT_WINDOW = 32
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -231,6 +235,7 @@ class Autoscaler:
             "queue_depth": round(float(queue_depth), 3),
             "latency_ms_p95": round(float(latency_ms_p95), 3),
         })
+        del self.events[:-_EVENT_WINDOW]
 
     # -- observability -------------------------------------------------------
 

@@ -180,6 +180,7 @@ class PoolNode:
             )
 
     def _forward(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        self._check_available()  # a dead node computes nothing
         return self._guard.forward(rows)
 
     # -- lifecycle -----------------------------------------------------------
@@ -210,18 +211,14 @@ class PoolNode:
 
     def kill(self) -> None:
         """Chaos: abrupt whole-node death (host power-off).  Worker
-        processes are SIGKILLed, in-flight answers are lost (their
-        calls raise :class:`NodeUnavailableError`), and the node never
-        serves again.  Call :meth:`retire` afterwards to reap the pool
-        resources."""
+        processes are SIGKILLed and never respawned, in-flight answers
+        are lost (their calls raise :class:`NodeUnavailableError`), and
+        the node never serves again.  Call :meth:`retire` afterwards to
+        reap the pool resources."""
         self._state = DEAD
         pool = self._guard.pool
         if pool is not None:
-            for proc in list(pool._procs):
-                try:
-                    proc.kill()
-                except Exception:
-                    pass
+            pool.kill()
 
     def partition(self) -> None:
         """Chaos: the node becomes unreachable (probes and dispatches

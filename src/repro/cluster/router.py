@@ -49,10 +49,6 @@ from repro.ssnn.compile import CompiledNetwork
 CLUSTER_SCHEMA = "repro.cluster/v1"
 
 
-class ClusterUnavailableError(RuntimeError):
-    """No node answered and the router has no serial fallback plan."""
-
-
 class ClusterRouter:
     """Consistent-hash dispatch with health-based fallback and retry.
 

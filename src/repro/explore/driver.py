@@ -41,13 +41,10 @@ clock (asserted by ``tests/explore/`` and gated by
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -363,53 +360,12 @@ def evaluate_point(
 # -- content-addressed point memoization -------------------------------------
 
 
-def _store_point(plan_cache: PlanCache, fingerprint: str,
-                 row: dict) -> None:
-    """Persist one completed row (atomic tmp + rename, the PlanCache
-    write discipline); persistence failures degrade silently."""
-    payload = {
-        "schema_version": EXPLORE_SCHEMA_VERSION,
-        "fingerprint": fingerprint,
-        "row": row,
-    }
-    path = plan_cache.path_for(fingerprint, kind=EXPLORE_KIND)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer, meta=np.array(json.dumps(payload, sort_keys=True))
-        )
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink(missing_ok=True)
-    except OSError:
-        pass  # unwritable cache: the in-memory row still serves
-
-
-def _load_point(plan_cache: PlanCache,
-                fingerprint: str) -> Optional[dict]:
-    """Load a memoized row; corrupt or stale entries are dropped and
-    treated as misses (the cache can never poison a sweep)."""
-    path = plan_cache.lookup(fingerprint, kind=EXPLORE_KIND)
-    if path is None:
-        return None
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            payload = json.loads(str(data["meta"]))
-        if (payload.get("schema_version") != EXPLORE_SCHEMA_VERSION
-                or payload.get("fingerprint") != fingerprint):
-            raise ConfigurationError("stale explore-point entry")
-        return payload["row"]
-    except Exception:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
+def _decode_point(meta: dict, arrays) -> dict:
+    """A memoized row from its ``PlanCache`` entry; a stale schema is
+    rejected (the store then drops the entry and the point re-runs)."""
+    if meta.get("schema_version") != EXPLORE_SCHEMA_VERSION:
+        raise ConfigurationError("stale explore-point entry")
+    return meta["row"]
 
 
 # -- gate-level mesh probes --------------------------------------------------
@@ -546,7 +502,8 @@ def run_explore(
     rows: Dict[str, dict] = {}
     pending: List[ExplorePoint] = []
     for point in points:
-        cached = (_load_point(cache, fingerprints[point.key])
+        cached = (cache.load(fingerprints[point.key], EXPLORE_KIND,
+                             _decode_point)
                   if cache is not None else None)
         if cached is not None:
             rows[point.key] = cached
@@ -562,7 +519,9 @@ def run_explore(
     for key, row in evaluated.items():
         rows[key] = row
         if cache is not None:
-            _store_point(cache, fingerprints[key], row)
+            cache.store(fingerprints[key], EXPLORE_KIND, {
+                "schema_version": EXPLORE_SCHEMA_VERSION, "row": row,
+            })
 
     ordered = []
     for point in points:

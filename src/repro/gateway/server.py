@@ -78,6 +78,11 @@ from repro.obs import Counters, render_prometheus
 
 GATEWAY_SCHEMA = "repro.gateway/v1"
 
+#: Bound on the (normally instant) backend enqueue; hitting it means the
+#: queue raced past admission control, and the request is shed as
+#: ``queue_full``.
+_SUBMIT_TIMEOUT_S = 1.0
+
 #: Paths the router knows, with their allowed methods.
 ROUTES = {
     "/infer": ("POST",),
@@ -167,9 +172,6 @@ class Gateway:
         host / port: Bind address; port 0 picks an ephemeral port
             (read :attr:`port` after start).
         max_body_bytes: ``413`` bound on request bodies.
-        submit_timeout_s: Bound on the (normally instant) backend
-            enqueue; hitting it means the queue raced past admission
-            control and is shed as ``queue_full``.
 
     Use :meth:`run_in_thread` / :meth:`close` (or the context manager)
     to drive the gateway from synchronous code -- tests, the load
@@ -187,8 +189,6 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        submit_timeout_s: float = 1.0,
-        idempotency_capacity: int = 4096,
     ):
         self.server = server
         self.authenticator = (
@@ -202,7 +202,6 @@ class Gateway:
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
-        self.submit_timeout_s = submit_timeout_s
         self.counters = Counters("sushi_gateway", {
             "requests": "HTTP requests served, by path and status",
             "rejections": "Requests rejected, by typed error code",
@@ -223,7 +222,7 @@ class Gateway:
         }, labels={"requests": ("code", "priority")})
         # Requests inside _dispatch; only the event loop touches it.
         self._in_flight = 0
-        self.idempotency = IdempotencyLedger(capacity=idempotency_capacity)
+        self.idempotency = IdempotencyLedger()
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -542,7 +541,7 @@ class Gateway:
             try:
                 future = self.server.submit(
                     parsed.spike_train,
-                    timeout=self.submit_timeout_s,
+                    timeout=_SUBMIT_TIMEOUT_S,
                     deadline_ms=parsed.deadline_ms,
                 )
             except queue_module.Full:

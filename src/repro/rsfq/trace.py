@@ -59,14 +59,9 @@ artifact namespace.  See the "Trace compilation" section of
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import os
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,8 +80,9 @@ from repro.rsfq.waveform import PulseTrace
 TRACE_KIND = "rsfq-trace"
 
 #: Bumped whenever the on-disk layout or replay semantics change; stale
-#: cache entries are rejected at load and recompiled.
-TRACE_SCHEMA_VERSION = 1
+#: cache entries are rejected at load and recompiled.  Version 2 entries
+#: name their fingerprint in ``meta`` (the ``PlanCache`` store's rule).
+TRACE_SCHEMA_VERSION = 2
 
 #: One normalised stimulus: ``(cell name, input port, time in ps)``.
 NormStimulus = Tuple[str, str, float]
@@ -343,11 +339,11 @@ def record_trace(netlist: Netlist, segments,
 class CompiledTrace:
     """Immutable flattened recording of one (netlist, schedule) run.
 
-    Pure data -- numpy arrays plus identity metadata -- with an atomic
-    npz round trip, so instances are cheap to content-address in the
-    shared plan cache.  All replay machinery (levels, constraint
-    records, certification) lives in the engine-side binding, rebuilt on
-    load.
+    Pure data -- numpy arrays plus identity metadata -- with a
+    ``(meta, arrays)`` encoding, so instances are cheap to
+    content-address in the shared plan cache.  All replay machinery
+    (levels, constraint records, certification) lives in the
+    engine-side binding, rebuilt on load.
     """
 
     __slots__ = (
@@ -379,10 +375,9 @@ class CompiledTrace:
     def n_events(self) -> int:
         return int(self.times.shape[0])
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Atomic write (tmp + rename), safe under concurrent readers."""
-        path = Path(path)
-        meta = json.dumps({
+    def encode(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """This trace as a ``PlanCache`` entry: ``(meta, arrays)``."""
+        meta = {
             "schema": TRACE_SCHEMA_VERSION,
             "netlist_fp": self.netlist_fp,
             "schedule_fp": self.schedule_fp,
@@ -394,9 +389,8 @@ class CompiledTrace:
             "margins": [[ct, pa, pb, req, act]
                         for (ct, pa, pb), (req, act)
                         in self.margins.items()],
-        })
-        payload = {
-            "meta": np.array(meta),
+        }
+        arrays = {
             "times": self.times,
             "ci": self.ci,
             "pi": self.pi,
@@ -405,56 +399,38 @@ class CompiledTrace:
             "wire_delay": self.wire_delay,
             "seg_events": self.seg_events,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(buffer.getvalue())
-        os.replace(tmp, path)
+        return meta, arrays
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "CompiledTrace":
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                if meta.get("schema") != TRACE_SCHEMA_VERSION:
-                    raise ConfigurationError(
-                        f"compiled trace at {path} has schema "
-                        f"{meta.get('schema')!r}; this build expects "
-                        f"{TRACE_SCHEMA_VERSION}"
-                    )
-                return cls(
-                    netlist_fp=meta["netlist_fp"],
-                    schedule_fp=meta["schedule_fp"],
-                    segments=tuple(
-                        tuple((name, port, float(time))
-                              for name, port, time in seg)
-                        for seg in meta["segments"]
-                    ),
-                    cell_names=tuple(meta["cell_names"]),
-                    cell_types=tuple(meta["cell_types"]),
-                    times=np.asarray(data["times"], dtype=np.float64),
-                    ci=np.asarray(data["ci"], dtype=np.int32),
-                    pi=np.asarray(data["pi"], dtype=np.int32),
-                    parent=np.asarray(data["parent"], dtype=np.int64),
-                    wid=np.asarray(data["wid"], dtype=np.int32),
-                    wire_delay=np.asarray(data["wire_delay"],
-                                          dtype=np.float64),
-                    seg_events=np.asarray(data["seg_events"],
-                                          dtype=np.int64),
-                    final_time_ps=float(meta["final_time_ps"]),
-                    margins={(ct, pa, pb): (req, act)
-                             for ct, pa, pb, req, act
-                             in meta["margins"]},
-                )
-        except ConfigurationError:
-            raise
-        except (OSError, ValueError, KeyError, TypeError, EOFError,
-                zipfile.BadZipFile, json.JSONDecodeError) as exc:
+    def decode(cls, meta: dict, arrays) -> "CompiledTrace":
+        """Rebuild a trace from its :meth:`encode` entry; raises
+        :class:`ConfigurationError` on a stale schema."""
+        if meta.get("schema") != TRACE_SCHEMA_VERSION:
             raise ConfigurationError(
-                f"cannot load compiled trace from {path}: {exc}"
-            ) from exc
+                f"compiled trace has schema {meta.get('schema')!r}; "
+                f"this build expects {TRACE_SCHEMA_VERSION}"
+            )
+        return cls(
+            netlist_fp=meta["netlist_fp"],
+            schedule_fp=meta["schedule_fp"],
+            segments=tuple(
+                tuple((name, port, float(time))
+                      for name, port, time in seg)
+                for seg in meta["segments"]
+            ),
+            cell_names=tuple(meta["cell_names"]),
+            cell_types=tuple(meta["cell_types"]),
+            times=np.asarray(arrays["times"], dtype=np.float64),
+            ci=np.asarray(arrays["ci"], dtype=np.int32),
+            pi=np.asarray(arrays["pi"], dtype=np.int32),
+            parent=np.asarray(arrays["parent"], dtype=np.int64),
+            wid=np.asarray(arrays["wid"], dtype=np.int32),
+            wire_delay=np.asarray(arrays["wire_delay"], dtype=np.float64),
+            seg_events=np.asarray(arrays["seg_events"], dtype=np.int64),
+            final_time_ps=float(meta["final_time_ps"]),
+            margins={(ct, pa, pb): (req, act)
+                     for ct, pa, pb, req, act in meta["margins"]},
+        )
 
 
 # -- replay ------------------------------------------------------------------
@@ -822,21 +798,8 @@ class TraceEngine:
         tfp = trace_fingerprint(self._fp(), sfp)
         trace = None
         if self.cache is not None:
-            path = self.cache.lookup(tfp, kind=TRACE_KIND)
-            if path is not None:
-                try:
-                    trace = CompiledTrace.load(path)
-                    if trace.fingerprint != tfp:
-                        raise ConfigurationError("fingerprint mismatch")
-                    self._bump("cache_hits")
-                except ConfigurationError:
-                    trace = None
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-            if trace is None:
-                self._bump("cache_misses")
+            trace = self.cache.load(tfp, TRACE_KIND, CompiledTrace.decode)
+            self._bump("cache_misses" if trace is None else "cache_hits")
         if trace is None:
             if not allow_record:
                 return None
@@ -848,10 +811,7 @@ class TraceEngine:
                 return None
             self._bump("records")
             if self.cache is not None:
-                try:
-                    trace.save(self.cache.path_for(tfp, kind=TRACE_KIND))
-                except OSError:
-                    pass
+                self.cache.store(tfp, TRACE_KIND, *trace.encode())
         bound = _BoundTrace(trace, self.netlist)
         self._mem[sfp] = bound
         return bound

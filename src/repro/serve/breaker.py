@@ -11,9 +11,10 @@ three-state machine in front of the pool path:
   *consecutive* failures (``failure_threshold``) trip the breaker.
 * **open** -- the pool path is skipped entirely (batches run serially,
   answers identical) until ``reset_timeout_s`` has elapsed.
-* **half-open** -- after the cool-down, up to ``half_open_probes``
-  batches are allowed through as probes: one success closes the
-  breaker, one failure re-opens it (and restarts the cool-down).
+* **half-open** -- after the cool-down, one batch is allowed through
+  as a probe: its success closes the breaker, its failure re-opens it
+  (and restarts the cool-down).  Every caller drives its breaker from
+  one dispatcher thread, so a larger probe budget would go unused.
 
 The breaker never changes *what* is computed -- only whether a batch is
 attempted on the pool or executed serially -- so every state is
@@ -85,8 +86,7 @@ class CircuitBreaker:
 
     Args:
         failure_threshold: Consecutive failures that trip closed -> open.
-        reset_timeout_s: Cool-down before an open breaker admits probes.
-        half_open_probes: Concurrent probe budget while half-open.
+        reset_timeout_s: Cool-down before an open breaker admits a probe.
         clock: Monotonic time source (injectable for tests).
     """
 
@@ -94,24 +94,20 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 3,
         reset_timeout_s: float = 5.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
             raise ConfigurationError("failure_threshold must be >= 1")
         if reset_timeout_s <= 0:
             raise ConfigurationError("reset_timeout_s must be > 0")
-        if half_open_probes < 1:
-            raise ConfigurationError("half_open_probes must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at: Optional[float] = None
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self._opens = 0
         self._closes = 0
         self._probes = 0
@@ -128,10 +124,10 @@ class CircuitBreaker:
         """May the caller attempt the protected operation right now?
 
         Closed: always.  Open: no, until ``reset_timeout_s`` has elapsed
-        (which flips to half-open).  Half-open: yes while the probe
-        budget lasts.  A granted half-open ``allow()`` *consumes* a
-        probe slot; the caller must follow with :meth:`record_success`
-        or :meth:`record_failure`.
+        (which flips to half-open).  Half-open: yes, once, until the
+        probe's outcome is recorded.  A granted half-open ``allow()``
+        *consumes* the probe; the caller must follow with
+        :meth:`record_success` or :meth:`record_failure`.
         """
         with self._lock:
             if self._state == CLOSED:
@@ -141,13 +137,13 @@ class CircuitBreaker:
                 if elapsed < self.reset_timeout_s:
                     return False
                 self._transition_locked(HALF_OPEN)
-                self._probes_in_flight = 0
+                self._probe_in_flight = False
             # half-open
-            if self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
-                self._probes += 1
-                return True
-            return False
+            if self._probe_in_flight:
+                return False
+            self._probe_in_flight = True
+            self._probes += 1
+            return True
 
     def record_success(self) -> None:
         """The protected operation succeeded: reset the failure streak;
@@ -157,7 +153,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._transition_locked(CLOSED)
                 self._closes += 1
-                self._probes_in_flight = 0
+                self._probe_in_flight = False
                 self._opened_at = None
 
     def record_failure(self) -> None:
@@ -169,7 +165,7 @@ class CircuitBreaker:
                 self._transition_locked(OPEN)
                 self._opens += 1
                 self._opened_at = self._clock()
-                self._probes_in_flight = 0
+                self._probe_in_flight = False
             elif (self._state == CLOSED
                   and self._consecutive_failures >= self.failure_threshold):
                 self._transition_locked(OPEN)

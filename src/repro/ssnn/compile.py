@@ -40,7 +40,9 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -371,12 +373,14 @@ class CompiledNetwork:
             self.sc_per_npe,
         )
 
-    # -- serialization -------------------------------------------------------
+    # -- cache entry encoding ------------------------------------------------
 
-    def _meta(self) -> dict:
-        return {
+    def encode(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """This plan as a :class:`PlanCache` entry: ``(meta, arrays)``.
+        Only the serialized layer state is stored; :meth:`decode`
+        rebuilds the rest with :func:`_materialize_layer`."""
+        meta = {
             "schema": SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
             "chip_n": self.chip_n,
             "sc_per_npe": self.sc_per_npe,
             "reorder": bool(self.reorder),
@@ -388,63 +392,40 @@ class CompiledNetwork:
             "slice_counts": [list(sc) for sc in self.slice_counts],
             "n_layers": len(self.layers),
         }
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the artifact atomically (tmp file + rename) so a
-        concurrent reader never observes a torn cache entry."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        arrays = {"meta": np.array(json.dumps(self._meta()))}
+        arrays = {}
         for i, layer in enumerate(self.layers):
             arrays[f"w{i}"] = layer.signed_weights
             arrays[f"t{i}"] = layer.thresholds
             arrays[f"so{i}"] = layer.stream_order
             arrays[f"sp{i}"] = layer.stream_polarity
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink(missing_ok=True)
+        return meta, arrays
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "CompiledNetwork":
-        """Load an artifact written by :meth:`save`.
+    def decode(cls, meta: dict, arrays) -> "CompiledNetwork":
+        """Rebuild a plan from its :meth:`encode` entry.
 
-        Raises :class:`ConfigurationError` on schema mismatch, a capacity
-        other than ``2 ** sc_per_npe`` (the kernel's exact power-of-two
-        scaling relies on it) or a malformed file (the cache treats all
-        three as a miss)."""
-        try:
-            with np.load(Path(path), allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                if meta.get("schema") != SCHEMA_VERSION:
-                    raise ConfigurationError(
-                        f"compiled-plan schema {meta.get('schema')} != "
-                        f"{SCHEMA_VERSION}"
-                    )
-                capacity = int(meta["capacity"])
-                if capacity != 1 << int(meta["sc_per_npe"]):
-                    raise ConfigurationError(
-                        f"compiled-plan capacity {capacity} != 2 ** "
-                        f"sc_per_npe ({meta['sc_per_npe']})"
-                    )
-                layers = tuple(
-                    _materialize_layer(
-                        data[f"w{i}"], data[f"t{i}"],
-                        data[f"so{i}"], data[f"sp{i}"], capacity,
-                    )
-                    for i in range(int(meta["n_layers"]))
-                )
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # corrupt zip / missing keys / bad JSON
+        Raises :class:`ConfigurationError` on a schema mismatch or a
+        capacity other than ``2 ** sc_per_npe`` (the kernel's exact
+        power-of-two scaling relies on it); the cache treats either as a
+        corrupt entry."""
+        if meta.get("schema") != SCHEMA_VERSION:
             raise ConfigurationError(
-                f"unreadable compiled-plan artifact {path}: {exc}"
-            ) from exc
+                f"compiled-plan schema {meta.get('schema')} != "
+                f"{SCHEMA_VERSION}"
+            )
+        capacity = int(meta["capacity"])
+        if capacity != 1 << int(meta["sc_per_npe"]):
+            raise ConfigurationError(
+                f"compiled-plan capacity {capacity} != 2 ** "
+                f"sc_per_npe ({meta['sc_per_npe']})"
+            )
+        layers = tuple(
+            _materialize_layer(
+                arrays[f"w{i}"], arrays[f"t{i}"],
+                arrays[f"so{i}"], arrays[f"sp{i}"], capacity,
+            )
+            for i in range(int(meta["n_layers"]))
+        )
         return cls(
             fingerprint=str(meta["fingerprint"]),
             chip_n=int(meta["chip_n"]),
@@ -529,30 +510,37 @@ def default_cache_dir() -> Path:
 
 #: Artifact-kind namespace of SSNN inference plans within a
 #: :class:`PlanCache` root (RSFQ traces use
-#: ``repro.rsfq.trace.TRACE_KIND``); each kind gets its own
+#: ``repro.rsfq.trace.TRACE_KIND``, explore points
+#: ``repro.explore.grid.EXPLORE_KIND``); each kind gets its own
 #: subdirectory, so fingerprints of different artifact types can never
 #: collide.
 PLAN_KIND = "ssnn-plan"
 
+_T = TypeVar("_T")
+
 
 class PlanCache:
-    """Content-addressed on-disk cache of compiled artifacts.
+    """Content-addressed on-disk store of compiled artifacts.
 
-    One cache root is shared by multiple *artifact kinds* -- SSNN
-    inference plans (:data:`PLAN_KIND`, the default) and RSFQ compiled
-    traces (``repro.rsfq.trace.TRACE_KIND``) -- each namespaced into its
-    own subdirectory so equal fingerprints of different kinds cannot
-    collide.  Keys are content hexdigests (plans:
-    :func:`network_fingerprint`); entries are atomic-write ``.npz``
-    artifacts.  Lookups verify the stored fingerprint and silently
-    recompile over corrupt or stale-schema entries, so the cache can
-    never poison an inference.  Failures to persist (read-only cache
-    dir, full disk) degrade to in-memory compilation.
+    One root holds several *artifact kinds* -- SSNN inference plans
+    (:data:`PLAN_KIND`), RSFQ compiled traces
+    (``repro.rsfq.trace.TRACE_KIND``) and explore points
+    (``repro.explore.grid.EXPLORE_KIND``) -- each in its own
+    subdirectory, keyed by a content hexdigest.  :meth:`store` and
+    :meth:`load` are the only code that writes or reads an entry, so
+    every kind shares one write discipline and one repair rule (the
+    "Artifact cache" section of ``docs/SERVING.md``):
 
-    Roots populated before kind-namespacing hold plan files directly
-    under the root; :meth:`lookup` still reads those legacy entries (and
-    rewrites happen under the new layout), so restored pre-existing
-    caches keep serving hits.
+    * an entry is a compressed ``.npz`` whose ``meta`` member is JSON
+      naming its fingerprint, written to a temp file and renamed into
+      place, so a reader never sees a torn entry;
+    * an entry that cannot be read, names another fingerprint, or that
+      its kind's decoder rejects is deleted and reads as a miss, so the
+      cache can never poison a result;
+    * a root that cannot be written leaves results in memory only.
+
+    :attr:`hits` / :attr:`misses` count :meth:`get_or_compile` lookups;
+    the other kinds keep their own counters.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
@@ -565,22 +553,62 @@ class PlanCache:
         """Where an artifact of ``kind`` is (or would be) stored."""
         return self.root / kind / f"{fingerprint}.npz"
 
-    def lookup(self, fingerprint: str,
-               kind: str = PLAN_KIND) -> Optional[Path]:
-        """The existing entry path for ``fingerprint``, else None.
+    def store(self, fingerprint: str, kind: str, meta: dict,
+              arrays: Optional[Dict[str, np.ndarray]] = None) -> bool:
+        """Persist one entry; returns whether it was persisted.
 
-        Prefers the kind-namespaced layout; for plans, falls back to the
-        legacy un-namespaced location (caches populated before artifact
-        kinds existed).
+        ``meta`` (plus the fingerprint) becomes the JSON ``meta`` member
+        beside ``arrays``.  The temp file is removed whatever fails; an
+        :class:`OSError` (unwritable root, full disk) leaves the entry
+        unpersisted and returns ``False``.
         """
         path = self.path_for(fingerprint, kind)
-        if path.exists():
-            return path
-        if kind == PLAN_KIND:
-            legacy = self.root / f"{fingerprint}.npz"
-            if legacy.exists():
-                return legacy
-        return None
+        meta = json.dumps({**meta, "fingerprint": fingerprint},
+                          sort_keys=True)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, meta=np.array(meta), **(arrays or {}))
+        tmp = path.with_name(
+            f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                tmp.write_bytes(buffer.getvalue())
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        except OSError:
+            return False
+        return True
+
+    def load(self, fingerprint: str, kind: str,
+             decode: Callable[[dict, Mapping[str, np.ndarray]], _T],
+             ) -> Optional[_T]:
+        """The decoded entry, or ``None`` on a miss.
+
+        ``decode(meta, arrays)`` rebuilds the artifact and raises to
+        reject it.  A missing file is a miss; an entry that cannot be
+        read, names another fingerprint, or that ``decode`` rejects is
+        deleted and reads as a miss.
+        """
+        path = self.path_for(fingerprint, kind)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                if meta["fingerprint"] != fingerprint:
+                    raise ConfigurationError("entry of another fingerprint")
+                return decode(meta, data)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            # Damaged bytes raise whatever zipfile, zlib, numpy, json or
+            # the decoder raise (BadZipFile, zlib.error, KeyError,
+            # RuntimeError, ...); no entry may fail its caller.
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
 
     def get_or_compile(
         self,
@@ -593,44 +621,34 @@ class PlanCache:
         fingerprint = network_fingerprint(
             network, chip_n, sc_per_npe, reorder
         )
-        path = self.lookup(fingerprint)
-        if path is not None:
-            try:
-                compiled = CompiledNetwork.load(path)
-                if compiled.fingerprint == fingerprint:
-                    with self._lock:
-                        self.hits += 1
-                    return compiled
-            except ConfigurationError:
-                pass  # corrupt or stale entry: fall through and recompile
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        compiled = self.load(fingerprint, PLAN_KIND, CompiledNetwork.decode)
         with self._lock:
+            if compiled is not None:
+                self.hits += 1
+                return compiled
             self.misses += 1
         compiled = compile_network(network, chip_n, sc_per_npe, reorder)
-        try:
-            compiled.save(self.path_for(fingerprint))
-        except OSError:
-            pass  # unwritable cache: the in-memory artifact still serves
+        self.store(fingerprint, PLAN_KIND, *compiled.encode())
         return compiled
 
     def _entries(self):
-        """Every cached artifact across all kinds (legacy files too)."""
+        """Every cached artifact across all kinds."""
         if self.root.exists():
             yield from self.root.rglob("*.npz")
 
     def clear(self) -> int:
-        """Remove every cached artifact (all kinds); returns the number
+        """Remove every cached artifact (all kinds) and any temp file a
+        killed writer left behind; returns the number of artifacts
         removed."""
         removed = 0
-        for entry in self._entries():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
+        if self.root.exists():
+            for path in self.root.rglob("*.npz*"):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                if path.suffix == ".npz":
+                    removed += 1
         return removed
 
     def stats(self) -> CacheStats:

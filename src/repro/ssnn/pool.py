@@ -450,7 +450,10 @@ class InferencePool:
     def _respawn_locked(self, slot: int, force_kill: bool = False) -> List:
         """Replace the worker in ``slot`` (dead or presumed frozen) with
         a fresh process + queue.  Returns the tasks drained out of the
-        old queue so the caller can account/re-dispatch them."""
+        old queue so the caller can account/re-dispatch them.  A killed
+        pool respawns nothing: the call in flight fails instead."""
+        if self._closed:
+            raise InferencePoolError("inference pool is closed")
         old_proc = self._procs[slot]
         try:
             if force_kill and old_proc.is_alive():
@@ -781,10 +784,20 @@ class InferencePool:
         Idempotent, safe to call from ``finally`` blocks, and safe to
         race an in-flight :meth:`infer_rows` (it finishes first)."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-        self._finalizer()
+        self._finalizer()  # runs once, however often close() is called
+
+    def kill(self) -> None:
+        """SIGKILL every worker now, without waiting for a call in
+        flight (a node's host dying).  The pool is closed from here on,
+        so that call fails instead of respawning the workers; call
+        :meth:`close` to release what is left."""
+        self._closed = True
+        for proc in list(self._procs):
+            try:
+                proc.kill()
+            except Exception:
+                pass
 
     def __enter__(self) -> "InferencePool":
         return self

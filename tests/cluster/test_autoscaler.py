@@ -15,6 +15,7 @@ from repro.cluster import (
     ClusterRouter,
     PoolNode,
 )
+from repro.cluster.autoscaler import _EVENT_WINDOW
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network
 from repro.ssnn import compile_network
@@ -166,6 +167,27 @@ class TestScaleDownSemantics:
             "scale-up", "scale-down",
         ]
         assert snap["ticks"] == 4
+
+
+class TestEventWindow:
+    def test_events_keep_only_the_newest_actions(self, harness):
+        router, scaler, clock = harness
+        assert _EVENT_WINDOW >= 14  # the whole 1 -> 8 -> 1 scale storm
+        total = _EVENT_WINDOW + 5
+        for _ in range(total):  # flap between one node and two
+            gauges = HOT if router.alive_count() == 1 else COLD
+            clock.advance(11.0)
+            scaler.tick(**gauges)
+            assert scaler.tick(**gauges) is not None
+        assert scaler.scale_ups + scaler.scale_downs == total
+        assert len(scaler.events) == _EVENT_WINDOW
+        assert scaler.stats()["events"] == scaler.events
+        # Actions alternate up/down on nodes scale-1, scale-1, scale-2,
+        # ...; the five oldest are gone.
+        assert (scaler.events[0]["action"], scaler.events[0]["node"]) \
+            == ("scale-down", "scale-3")
+        assert (scaler.events[-1]["action"], scaler.events[-1]["node"]) \
+            == ("scale-up", f"scale-{(total + 1) // 2}")
 
 
 class TestConfigValidation:

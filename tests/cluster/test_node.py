@@ -23,7 +23,7 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network
 from repro.serve import CircuitBreaker
-from repro.ssnn import compile_network
+from repro.ssnn import InferencePool, compile_network
 
 CHIP_N = 4
 SC = 8
@@ -119,6 +119,46 @@ class TestExecution:
         # Accepted then lost: this one DOES count as a node failure.
         assert node.stats().requests == 1
         assert node.stats().failed == 1
+        node.retire()
+
+
+    @pytest.mark.parametrize("moment", ["before the pool", "in the pool"])
+    def test_killed_node_spawns_nothing(self, workload, moment,
+                                        monkeypatch):
+        """Killed before its pool runs the block or while the pool holds
+        it, a node respawns no worker and computes nothing on its
+        pool: the call raises and the workers stay dead."""
+        compiled, rows = workload
+        node = PoolNode("n0", compiled, workers=2)
+        pool = node._guard.pool
+        if pool is None:
+            pytest.skip("pool unavailable on this platform")
+        if moment == "before the pool":
+            original = node._forward
+
+            def dying_forward(batch_rows):
+                node.kill()
+                return original(batch_rows)
+
+            node._forward = dying_forward
+        else:
+            original = InferencePool._next_result
+
+            def dying_wait(self, timeout):
+                node.kill()
+                return original(self, timeout)
+
+            monkeypatch.setattr(InferencePool, "_next_result", dying_wait)
+        with pytest.raises(NodeUnavailableError):
+            node.infer_rows(rows)
+        deadline = time.monotonic() + 10.0
+        while node.alive_workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert node.restarts() == 0
+        assert node.alive_workers() == 0
+        with pytest.raises(NodeUnavailableError):
+            node.infer_rows(rows)
+        assert node.restarts() == 0
         node.retire()
 
 

@@ -7,6 +7,8 @@ membership lifecycle (join/leave/evict/probe) with its counters, which
 the gateway exports as cluster gauges.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,38 @@ class TestDispatch:
             # Follow-up traffic needs no retry.
             router.dispatch(rows)
             assert router.retries == 1
+        finally:
+            router.shutdown()
+
+    def test_killed_pool_node_is_retried_once_and_spawns_nothing(
+            self, workload):
+        compiled, rows = workload
+        want = compiled.forward_rows(rows)
+        router = ClusterRouter(compiled)
+        for i in range(2):
+            router.join(PoolNode(f"n{i}", compiled, workers=2))
+        try:
+            victim = router.node(
+                router._ring.route(router.affinity_key(rows))
+            )
+            if victim._guard.pool is None:
+                pytest.skip("pool unavailable on this platform")
+            original = victim._forward
+
+            def dying_forward(batch_rows):
+                victim.kill()
+                return original(batch_rows)
+
+            victim._forward = dying_forward
+            got = router.dispatch(rows)
+            assert np.array_equal(got[0], want[0])
+            assert (got[1], got[2]) == (want[1], want[2])
+            assert router.retries == 1
+            deadline = time.monotonic() + 10.0
+            while victim.alive_workers() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert victim.restarts() == 0
+            assert victim.alive_workers() == 0
         finally:
             router.shutdown()
 

@@ -24,6 +24,7 @@ from repro.gateway import (
     AdmissionController,
     ApiKeyAuthenticator,
     Gateway,
+    IdempotencyLedger,
     Tenant,
 )
 from repro.harness import random_binarized_network
@@ -489,6 +490,44 @@ class TestIdempotency:
         # Same raw key, different tenants: no cross-tenant replay.
         assert "X-Idempotent-Replay" not in batch[2]
         assert completed == 2
+
+
+class TestIdempotencyLedgerBound:
+    """The ledger's LRU cap, on a ledger of two: resolved entries go
+    oldest first (a lookup refreshes one), in-flight ones never go."""
+
+    def test_resolved_entries_are_evicted_oldest_first(self):
+        async def scenario():
+            ledger = IdempotencyLedger(capacity=2)
+            for key in ("a", "b"):
+                ledger.begin(key)
+                ledger.resolve_success(key, (200, key.encode()))
+            ledger.begin("c")
+            assert ledger.lookup("a") is None
+            assert ledger.lookup("b") is not None  # now the newest
+            ledger.resolve_success("c", (200, b"c"))
+            ledger.begin("d")
+            assert ledger.lookup("c") is None
+            assert [ledger.lookup(k) is not None for k in "bd"] == [
+                True, True,
+            ]
+            assert len(ledger) == 2
+
+        asyncio.run(scenario())
+
+    def test_in_flight_entries_are_never_evicted(self):
+        async def scenario():
+            ledger = IdempotencyLedger(capacity=2)
+            pending = {key: ledger.begin(key) for key in "xyz"}
+            assert len(ledger) == 3  # over the cap: nothing evictable
+            ledger.resolve_success("y", (200, b"y"))
+            ledger.begin("w")
+            assert ledger.lookup("y") is None
+            assert all(ledger.lookup(k) is not None for k in "xzw")
+            assert not any(pending[k].done() for k in "xz")
+            assert len(ledger) == 3
+
+        asyncio.run(scenario())
 
 
 class TestMetricsFamilies:

@@ -10,7 +10,7 @@ fell back.
 
 import pytest
 
-from repro.errors import ConfigurationError, ConstraintViolationError
+from repro.errors import ConstraintViolationError
 from repro.rsfq import (
     TFF_MIN_INTERVAL,
     FaultModel,
@@ -222,18 +222,24 @@ class TestCache:
     def test_compiled_trace_save_load_round_trip(self, tmp_path):
         net, _ = build_chain()
         trace = record_trace(net, (SEGMENT,))
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = CompiledTrace.load(path)
+        cache = PlanCache(root=tmp_path)
+        assert cache.store(trace.fingerprint, TRACE_KIND, *trace.encode())
+        loaded = cache.load(trace.fingerprint, TRACE_KIND,
+                            CompiledTrace.decode)
         assert loaded.fingerprint == trace.fingerprint
+        assert loaded.segments == trace.segments
         assert loaded.times.tolist() == trace.times.tolist()
+        assert loaded.parent.tolist() == trace.parent.tolist()
         assert loaded.margins == trace.margins
 
     def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.npz"
+        cache = PlanCache(root=tmp_path)
+        path = cache.path_for("ab" * 32, TRACE_KIND)
+        path.parent.mkdir(parents=True)
         path.write_bytes(b"garbage")
-        with pytest.raises(ConfigurationError):
-            CompiledTrace.load(path)
+        assert cache.load("ab" * 32, TRACE_KIND,
+                          CompiledTrace.decode) is None
+        assert not path.exists()
 
 
 class TestStrict:

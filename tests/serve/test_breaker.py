@@ -70,14 +70,15 @@ class TestOpenAndHalfOpen:
 
     def test_probe_budget_is_enforced(self, clock):
         breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=1.0,
-            half_open_probes=2, clock=clock,
+            failure_threshold=1, reset_timeout_s=1.0, clock=clock,
         )
         breaker.record_failure()
         clock.advance(1.5)
         assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()  # budget of 2 spent, results pending
+        assert not breaker.allow()  # the one probe is out, result pending
+        breaker.record_failure()
+        clock.advance(1.5)
+        assert breaker.allow()  # a new cool-down, a new probe
 
     def test_half_open_success_closes(self, breaker, clock):
         self._trip(breaker)
@@ -140,8 +141,6 @@ class TestSnapshotAndValidation:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ConfigurationError):
             CircuitBreaker(reset_timeout_s=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(half_open_probes=0)
 
     def test_repr_mentions_state(self, breaker):
         assert "closed" in repr(breaker)
@@ -177,12 +176,13 @@ OPS = st.lists(
 
 
 class _ModelBreaker:
-    """Reference implementation of the documented semantics."""
+    """Reference implementation of the documented semantics (one probe
+    while half-open)."""
 
-    def __init__(self, threshold, timeout, probes, clock):
+    def __init__(self, threshold, timeout, clock):
         self.threshold = threshold
         self.timeout = timeout
-        self.probe_budget = probes
+        self.probe_budget = 1
         self.clock = clock
         self.state = "closed"
         self.consec = 0
@@ -228,18 +228,13 @@ class _ModelBreaker:
 
 class TestBreakerProperties:
     @settings(deadline=None, max_examples=200)
-    @given(
-        ops=OPS,
-        threshold=st.integers(min_value=1, max_value=4),
-        probes=st.integers(min_value=1, max_value=3),
-    )
-    def test_matches_reference_model(self, ops, threshold, probes):
+    @given(ops=OPS, threshold=st.integers(min_value=1, max_value=4))
+    def test_matches_reference_model(self, ops, threshold):
         clock = FakeClock()
         breaker = CircuitBreaker(
-            failure_threshold=threshold, reset_timeout_s=5.0,
-            half_open_probes=probes, clock=clock,
+            failure_threshold=threshold, reset_timeout_s=5.0, clock=clock,
         )
-        model = _ModelBreaker(threshold, 5.0, probes, clock)
+        model = _ModelBreaker(threshold, 5.0, clock)
         for op in ops:
             if op[0] == "allow":
                 assert breaker.allow() == model.allow()

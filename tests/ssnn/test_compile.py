@@ -5,11 +5,12 @@ kernel's bit-identity against the differential harness's pre-compile
 reference kernel, the folded static
 statistics, the disk round trip, and the content-addressed
 :class:`PlanCache` (hit/miss accounting, corruption recovery, clearing,
-degrade on unwritable roots).
+degrade on unwritable roots).  ``tests/ssnn/test_artifact_store.py``
+covers the store's repair rules for every artifact kind.
 """
 
+import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.harness import random_binarized_network, random_spike_trains
 from repro.harness.differential import _ReferenceRuntime
 from repro.snn.binarize import BinarizedLayer, BinarizedNetwork
 from repro.ssnn import (
+    PLAN_KIND,
     CompiledNetwork,
     PlanCache,
     SushiRuntime,
@@ -161,13 +163,24 @@ class TestCompiledKernel:
             assert layer.signed_weights.dtype == np.int8
 
 
+def tamper(cache, fingerprint, kind=PLAN_KIND, **changes):
+    """Re-store an existing entry with some ``meta`` fields changed."""
+    with np.load(cache.path_for(fingerprint, kind)) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    assert cache.store(fingerprint, kind, {**meta, **changes}, arrays)
+
+
 class TestDiskRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         network, trains = make_workload(seed=8)
-        compiled = compile_network(network, CHIP_N, SC)
-        path = tmp_path / "plan.npz"
-        compiled.save(path)
-        loaded = CompiledNetwork.load(path)
+        compiled = PlanCache(root=tmp_path).get_or_compile(
+            network, CHIP_N, SC
+        )
+        warm = PlanCache(root=tmp_path)
+        loaded = warm.get_or_compile(network, CHIP_N, SC)
+        assert warm.hits == 1 and warm.misses == 0
+        assert loaded is not compiled
         assert loaded.fingerprint == compiled.fingerprint
         assert loaded.slice_counts == compiled.slice_counts
         assert loaded.reload_events == compiled.reload_events
@@ -185,10 +198,13 @@ class TestDiskRoundTrip:
         )
 
     def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "broken.npz"
+        cache = PlanCache(root=tmp_path)
+        path = cache.path_for("ab" * 32)
+        path.parent.mkdir(parents=True)
         path.write_bytes(b"not a zip at all")
-        with pytest.raises(ConfigurationError):
-            CompiledNetwork.load(path)
+        assert cache.load("ab" * 32, PLAN_KIND,
+                          CompiledNetwork.decode) is None
+        assert not path.exists()
 
     def test_load_rejects_tampered_capacity(self, tmp_path):
         # The kernel scales by 1 / capacity, exact only for 2 ** sc_per_npe:
@@ -197,23 +213,21 @@ class TestDiskRoundTrip:
         network, _ = make_workload(seed=16)
         cache = PlanCache(root=tmp_path)
         compiled = cache.get_or_compile(network, CHIP_N, SC)
-        path = cache.path_for(compiled.fingerprint)
-        replace(compiled, capacity=compiled.capacity + 1).save(path)
-        with pytest.raises(ConfigurationError):
-            CompiledNetwork.load(path)
+        tamper(cache, compiled.fingerprint, capacity=compiled.capacity + 1)
         again = cache.get_or_compile(network, CHIP_N, SC)
         assert cache.misses == 2 and cache.hits == 0
         assert again.capacity == 1 << SC
-        assert CompiledNetwork.load(path).capacity == 1 << SC
+        assert cache.load(compiled.fingerprint, PLAN_KIND,
+                          CompiledNetwork.decode).capacity == 1 << SC
 
-    def test_load_rejects_stale_schema(self, tmp_path, monkeypatch):
+    def test_load_rejects_stale_schema(self, tmp_path):
         network, _ = make_workload(seed=9)
-        compiled = compile_network(network, CHIP_N, SC)
-        path = tmp_path / "plan.npz"
-        compiled.save(path)
-        monkeypatch.setattr("repro.ssnn.compile.SCHEMA_VERSION", 999)
-        with pytest.raises(ConfigurationError):
-            CompiledNetwork.load(path)
+        cache = PlanCache(root=tmp_path)
+        compiled = cache.get_or_compile(network, CHIP_N, SC)
+        tamper(cache, compiled.fingerprint, schema=999)
+        assert cache.load(compiled.fingerprint, PLAN_KIND,
+                          CompiledNetwork.decode) is None
+        assert not cache.path_for(compiled.fingerprint).exists()
 
 
 class TestPlanCache:
@@ -244,8 +258,8 @@ class TestPlanCache:
         assert cache.misses == 2 and cache.hits == 0
         assert again.fingerprint == compiled.fingerprint
         # The rewritten entry is healthy again.
-        assert CompiledNetwork.load(
-            cache.path_for(compiled.fingerprint)
+        assert cache.load(
+            compiled.fingerprint, PLAN_KIND, CompiledNetwork.decode
         ).fingerprint == compiled.fingerprint
 
     def test_clear_removes_entries(self, tmp_path):
@@ -303,12 +317,10 @@ class TestRuntimeCacheIntegration:
 
 
 class TestKindNamespacing:
-    """Artifact-kind subdirectories plus legacy un-namespaced migration
-    (issue 7 satellite)."""
+    """Artifact-kind subdirectories; plan files written at the root by
+    caches older than the kind namespaces are no longer read."""
 
     def test_plans_live_under_the_kind_subdirectory(self, tmp_path):
-        from repro.ssnn import PLAN_KIND
-
         network, _ = make_workload(seed=30)
         cache = PlanCache(root=tmp_path)
         plan = cache.get_or_compile(network, CHIP_N, SC)
@@ -316,28 +328,19 @@ class TestKindNamespacing:
         assert expected.exists()
         assert cache.stats().entries == 1
 
-    def test_legacy_unnamespaced_plan_still_readable(self, tmp_path):
-        from repro.ssnn import PLAN_KIND
-
+    def test_pre_namespacing_plan_is_a_miss(self, tmp_path):
         network, _ = make_workload(seed=31)
         cache = PlanCache(root=tmp_path)
         plan = cache.get_or_compile(network, CHIP_N, SC)
         namespaced = tmp_path / PLAN_KIND / f"{plan.fingerprint}.npz"
         legacy = tmp_path / f"{plan.fingerprint}.npz"
-        namespaced.rename(legacy)  # simulate a pre-namespacing cache dir
+        namespaced.rename(legacy)  # the layout before kind namespaces
 
         warm = PlanCache(root=tmp_path)
         again = warm.get_or_compile(network, CHIP_N, SC)
-        assert warm.hits == 1 and warm.misses == 0
+        assert warm.hits == 0 and warm.misses == 1
         assert again.fingerprint == plan.fingerprint
-
-    def test_trace_kind_ignores_legacy_plan_files(self, tmp_path):
-        from repro.rsfq.trace import TRACE_KIND
-
-        cache = PlanCache(root=tmp_path)
-        (tmp_path / "deadbeef.npz").write_bytes(b"legacy plan bytes")
-        assert cache.lookup("deadbeef") is not None  # plans migrate
-        assert cache.lookup("deadbeef", kind=TRACE_KIND) is None
+        assert namespaced.exists()  # recompiled into the kind namespace
 
     def test_resolve_plan_cache_error_names_the_type(self):
         with pytest.raises(ConfigurationError, match="int: 17"):

@@ -9,18 +9,28 @@ the differential harness's pre-compile reference kernel: identical
 decisions (rasters, predictions), spurious-decision counts and
 synaptic-operation totals.  This is the satellite acceptance property of
 the compile-once pipeline (see docs/SERVING.md).
+
+A second property draws the network shape itself -- 2 to 4 layers of
+random widths, the SC count, the reorder flag and the row count (0 and 1
+included) -- and holds the plan loaded through a fresh cache, the
+in-memory plan, the pre-compile reference kernel and the guarded
+2-worker pool to the same rows.
 """
 
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.harness import random_binarized_network, random_spike_trains
-from repro.harness.differential import _ReferenceRuntime
+from repro.harness.differential import (
+    _ReferenceRuntime,
+    reference_forward_rows,
+)
 from repro.rsfq.faults import FaultModel
-from repro.ssnn import PlanCache, SushiRuntime
+from repro.ssnn import PlanCache, SushiRuntime, compile_network
+from repro.ssnn.pool import GuardedPool
 
 CHIP_N = 4
 SC = 8
@@ -92,3 +102,46 @@ def test_cache_round_trip_is_bit_identical(seed, reorder, engine, faulted):
     ))
     assert_identical(warm, cold)
     assert_identical(warm, legacy)
+
+
+@settings(
+    max_examples=16,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    sizes=st.lists(st.integers(min_value=2, max_value=12),
+                   min_size=3, max_size=5),
+    sc_per_npe=st.integers(min_value=4, max_value=12),
+    reorder=st.booleans(),
+    n_rows=st.integers(min_value=0, max_value=24),
+)
+@example(seed=0, sizes=[5, 3, 2], sc_per_npe=4, reorder=True, n_rows=0)
+@example(seed=1, sizes=[5, 3, 2], sc_per_npe=4, reorder=False, n_rows=1)
+def test_random_shapes_agree_on_every_path(seed, sizes, sc_per_npe,
+                                           reorder, n_rows):
+    rng = np.random.default_rng(seed)
+    network = random_binarized_network(rng, sizes=sizes,
+                                       sc_per_npe=sc_per_npe)
+    rows = (rng.random((n_rows, sizes[0])) < 0.4).astype(np.float64)
+    plan = compile_network(network, CHIP_N, sc_per_npe, reorder)
+    with tempfile.TemporaryDirectory() as root:
+        PlanCache(root=root).get_or_compile(
+            network, CHIP_N, sc_per_npe, reorder
+        )
+        warm = PlanCache(root=root)
+        loaded = warm.get_or_compile(network, CHIP_N, sc_per_npe, reorder)
+        assert warm.hits == 1 and warm.misses == 0
+    guard = GuardedPool(plan, 2)
+    try:
+        pooled = guard.forward(rows)
+    finally:
+        guard.close()
+    want = plan.forward_rows(rows)
+    for got in (loaded.forward_rows(rows),
+                reference_forward_rows(network.layers, rows,
+                                       1 << sc_per_npe, reorder),
+                pooled):
+        assert np.array_equal(got[0], want[0])
+        assert (got[1], got[2]) == (want[1], want[2])
