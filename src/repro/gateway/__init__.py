@@ -18,7 +18,9 @@ Layers (each its own module, composable and individually testable):
   (:class:`TokenBucket`, :class:`RateLimiter`) and backend
   :class:`AdmissionController` (queue depth, breaker, readiness).
 * :mod:`repro.gateway.server` -- the :class:`Gateway` event loop:
-  ``/infer`` ``/healthz`` ``/readyz`` ``/metrics`` ``/drain``.
+  ``/infer`` ``/healthz`` ``/readyz`` ``/metrics`` ``/drain``; and
+  :func:`serving_edge`, which starts and stops backend -> gateway ->
+  optional chaos proxy as one stack.
 * :mod:`repro.gateway.client` -- the resilient blocking client
   (:class:`GatewayClient`): pooling/keep-alive, deadline propagation,
   retry budgets with seeded jitter, idempotency keys (exactly-once
@@ -53,7 +55,11 @@ from repro.gateway.ratelimit import (
     RateLimiter,
     TokenBucket,
 )
-from repro.gateway.server import Gateway, IdempotencyLedger
+from repro.gateway.server import (
+    Gateway,
+    IdempotencyLedger,
+    serving_edge,
+)
 
 __all__ = [
     "AdmissionController",
@@ -76,4 +82,5 @@ __all__ = [
     "demo_tenants",
     "parse_infer_request",
     "run_loadtest",
+    "serving_edge",
 ]

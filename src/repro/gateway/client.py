@@ -54,7 +54,11 @@ from repro.errors import (
     RetryBudgetExceededError,
     TransportError,
 )
-from repro.gateway.protocol import IDEMPOTENCY_KEY_HEADER, REPLAY_HEADER
+from repro.gateway.protocol import (
+    IDEMPOTENCY_KEY_HEADER,
+    REPLAY_HEADER,
+    parse_response_head,
+)
 from repro.obs import Counters
 
 #: Process-wide roll-up of every GatewayClient in this process --
@@ -174,17 +178,7 @@ class _Connection:
                 raise ConnectionError("peer closed mid-response")
             self._buffer += chunk
         head, _, self._buffer = self._buffer.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise ConnectionError(f"malformed status line {lines[0]!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        status, headers, length = parse_response_head(head)
         while len(self._buffer) < length:
             chunk = self._recv(deadline)
             if not chunk:

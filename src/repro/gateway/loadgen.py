@@ -31,8 +31,9 @@ profile (tiny TCP fragments everywhere, a few milliseconds of seeded
 latency on early responses): the deterministic status expectations
 must hold unchanged on the bad network; only the latency columns move.
 
-Every scenario runs against a **fresh** server+gateway (per-scenario
-counters start at zero) built from one shared compiled plan, and each
+Every scenario builds a **fresh** backend from one shared compiled plan
+and enters :func:`~repro.gateway.server.serving_edge` over it
+(per-scenario counters start at zero), and each
 carries its *expected* deterministic status counts: the campaign
 ``passed`` verdict asserts statuses match expectations exactly, while
 client-side p50/p99 latency and throughput are measured and recorded as
@@ -51,9 +52,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gateway.auth import ApiKeyAuthenticator, demo_tenants
-from repro.gateway.ratelimit import AdmissionController
-from repro.gateway.server import Gateway
+from repro.gateway.protocol import parse_response_head
+from repro.gateway.server import serving_edge
 from repro.serve import CircuitBreaker, InferenceServer
 from repro.serve.metrics import _percentile
 
@@ -102,18 +102,12 @@ class HttpConnection:
         frame = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
         self._writer.write(frame)
         await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        status = int(status_line.split()[1])
-        resp_headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
-        length = int(resp_headers.get("content-length", "0"))
+        try:
+            head = await self._reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            raise ConnectionError("server closed the connection "
+                                  "mid-response")
+        status, resp_headers, length = parse_response_head(head)
         payload = await self._reader.readexactly(length) if length else b""
         if resp_headers.get("connection", "").lower() == "close":
             await self.close()
@@ -216,64 +210,17 @@ _PROXY_FAULTS = (
 )
 
 
-class _ScenarioContext:
-    """A fresh backend + gateway -- optionally behind a seeded
-    :class:`~repro.netchaos.ChaosProxy` -- torn down after each
-    scenario.  Clients must aim at :attr:`address`, which points at
-    the proxy when one is interposed."""
+def _serving(server, proxy: bool):
+    """Enter the serving edge over one scenario's fresh, unstarted
+    ``server``; with ``proxy`` its clients aim at a seeded chaos proxy
+    carrying :data:`_PROXY_FAULTS`."""
+    faults = None
+    if proxy:
+        from repro.netchaos import NetFault
 
-    def __init__(self, compiled, *,
-                 breaker: Optional[CircuitBreaker] = None,
-                 queue_limit: int = 4096, cluster_nodes: int = 0,
-                 proxy: bool = False):
-        if cluster_nodes > 0:
-            from repro.cluster import ClusterServer
-
-            # supervise_interval_s=0: scenarios drive failure handling
-            # through the router's dispatch path deterministically.
-            self.server = ClusterServer(
-                compiled=compiled, batch_max=64, breaker=breaker,
-                nodes=cluster_nodes, node_workers=2, supervise_interval_s=0,
-            )
-        else:
-            self.server = InferenceServer(
-                compiled=compiled, batch_max=64, breaker=breaker,
-            )
-        self.gateway = Gateway(
-            self.server,
-            authenticator=ApiKeyAuthenticator(demo_tenants()),
-            admission=AdmissionController(
-                self.server, queue_limit=queue_limit
-            ),
-        )
-        self._use_proxy = proxy
-        self.proxy = None
-
-    def __enter__(self) -> "_ScenarioContext":
-        self.server.start()
-        self.gateway.run_in_thread()
-        if self._use_proxy:
-            from repro.netchaos import ChaosProxy, NetFault
-
-            self.proxy = ChaosProxy(
-                self.gateway.address,
-                tuple(NetFault(kind, **opts)
-                      for kind, opts in _PROXY_FAULTS),
-                seed=23,
-            ).start()
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self.proxy is not None:
-            return (self.proxy.host, self.proxy.port)
-        return self.gateway.address
-
-    def __exit__(self, *exc) -> None:
-        if self.proxy is not None:
-            self.proxy.close()
-        self.gateway.close()
-        self.server.stop()
+        faults = tuple(NetFault(kind, **opts) for kind, opts in _PROXY_FAULTS)
+    return serving_edge(server, queue_limit=4096, proxy_faults=faults,
+                        proxy_seed=23)
 
 
 # -- the scenarios -----------------------------------------------------------
@@ -284,12 +231,13 @@ def _scenario_steady_closed(compiled, quick: bool, seed: int,
     users = 6 if quick else 16
     per_user = 5 if quick else 25
     rng = np.random.default_rng(seed)
-    with _ScenarioContext(compiled, proxy=proxy) as ctx:
+    with _serving(InferenceServer(compiled=compiled, batch_max=64),
+                  proxy) as edge:
         trains = _make_trains(rng, users, 12, compiled.in_features)
         collector = _Collector()
 
         async def user(i: int) -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             key = KEY_A if i % 2 == 0 else KEY_B
             try:
                 for _ in range(per_user):
@@ -316,12 +264,13 @@ def _scenario_poisson_open(compiled, quick: bool, seed: int,
     rate_per_s = 300.0
     rng = np.random.default_rng(seed + 1)
     gaps = rng.exponential(1.0 / rate_per_s, size=arrivals)
-    with _ScenarioContext(compiled, proxy=proxy) as ctx:
+    with _serving(InferenceServer(compiled=compiled, batch_max=64),
+                  proxy) as edge:
         trains = _make_trains(rng, 8, 12, compiled.in_features)
         collector = _Collector()
 
         async def one_shot(i: int) -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             key = KEY_A if i % 2 == 0 else KEY_B
             try:
                 await _timed_request(conn, collector, key,
@@ -350,12 +299,13 @@ def _scenario_flash_crowd(compiled, quick: bool, seed: int,
     waves = 3 if quick else 6
     width = 16 if quick else 48
     rng = np.random.default_rng(seed + 2)
-    with _ScenarioContext(compiled, proxy=proxy) as ctx:
+    with _serving(InferenceServer(compiled=compiled, batch_max=64),
+                  proxy) as edge:
         trains = _make_trains(rng, width, 12, compiled.in_features)
         collector = _Collector()
 
         async def crash_in(i: int) -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             key = KEY_A if i % 2 == 0 else KEY_B
             try:
                 await _timed_request(conn, collector, key,
@@ -387,12 +337,13 @@ def _scenario_tenant_skew(compiled, quick: bool, seed: int,
     greedy = 25 if quick else 60
     polite = 5 if quick else 20
     rng = np.random.default_rng(seed + 3)
-    with _ScenarioContext(compiled, proxy=proxy) as ctx:
+    with _serving(InferenceServer(compiled=compiled, batch_max=64),
+                  proxy) as edge:
         trains = _make_trains(rng, 4, 12, compiled.in_features)
         collector = _Collector()
 
         async def drive() -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             try:
                 for i in range(greedy):
                     await _timed_request(conn, collector, KEY_BURST,
@@ -422,26 +373,27 @@ def _scenario_deadline_storm(compiled, quick: bool, seed: int,
     doomed = 12 if quick else 40
     hold_s = 1.2
     rng = np.random.default_rng(seed + 4)
-    with _ScenarioContext(compiled, proxy=proxy) as ctx:
+    with _serving(InferenceServer(compiled=compiled, batch_max=64),
+                  proxy) as edge:
         trains = _make_trains(rng, 2, 12, compiled.in_features)
         collector = _Collector()
-        original = ctx.server._forward
+        original = edge.server._forward
 
         def held_forward(rows):
             time.sleep(hold_s)
             return original(rows)
 
-        ctx.server._forward = held_forward
+        edge.server._forward = held_forward
         try:
             async def drive() -> None:
-                blocker_conn = HttpConnection(*ctx.address)
+                blocker_conn = HttpConnection(*edge.address)
                 blocker = asyncio.ensure_future(_timed_request(
                     blocker_conn, collector, KEY_A, _infer_body(trains[0])
                 ))
                 await asyncio.sleep(0.15)  # let the dispatcher take it
 
                 async def one_doomed() -> None:
-                    conn = HttpConnection(*ctx.address)
+                    conn = HttpConnection(*edge.address)
                     try:
                         await _timed_request(
                             conn, collector, KEY_B,
@@ -459,7 +411,7 @@ def _scenario_deadline_storm(compiled, quick: bool, seed: int,
             asyncio.run(drive())
             elapsed = time.perf_counter() - start
         finally:
-            ctx.server._forward = original
+            edge.server._forward = original
     return collector.summary(
         "deadline-storm", "open-loop", elapsed,
         expected={"200": 1, "504": doomed},
@@ -474,15 +426,15 @@ def _scenario_breaker_open(compiled, quick: bool, seed: int,
     shots = 10 if quick else 30
     rng = np.random.default_rng(seed + 5)
     breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=300.0)
-    with _ScenarioContext(compiled, breaker=breaker,
-                          proxy=proxy) as ctx:
-        ctx.server.breaker.record_failure()
-        assert ctx.server.breaker.state == "open"
+    with _serving(InferenceServer(compiled=compiled, batch_max=64,
+                                  breaker=breaker), proxy) as edge:
+        edge.server.breaker.record_failure()
+        assert edge.server.breaker.state == "open"
         trains = _make_trains(rng, 2, 12, compiled.in_features)
         collector = _Collector()
 
         async def drive() -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             try:
                 for _ in range(shots):
                     await _timed_request(conn, collector, KEY_A,
@@ -501,6 +453,8 @@ def _scenario_breaker_open(compiled, quick: bool, seed: int,
 
 def _scenario_node_failure(compiled, quick: bool, seed: int,
                     proxy: bool = False) -> Dict:
+    from repro.cluster import ClusterServer
+
     # Two-node cluster backend; after the first wave a node dies
     # *mid-batch* (its workers are SIGKILLed while it serves, the
     # chaos-harness idiom from `node-kill`).  The router re-dispatches
@@ -509,16 +463,19 @@ def _scenario_node_failure(compiled, quick: bool, seed: int,
     shots_before = 6 if quick else 20
     shots_after = 6 if quick else 20
     rng = np.random.default_rng(seed + 6)
-    with _ScenarioContext(compiled, cluster_nodes=2,
-                          proxy=proxy) as ctx:
+    # supervise_interval_s=0: the scenario drives failure handling
+    # through the router's dispatch path deterministically.
+    with _serving(ClusterServer(compiled=compiled, batch_max=64, nodes=2,
+                                node_workers=2, supervise_interval_s=0),
+                  proxy) as edge:
         trains = _make_trains(rng, shots_before + shots_after, 12,
                               compiled.in_features)
         collector = _Collector()
-        router = ctx.server.router
+        router = edge.server.router
         assert router.alive_count() == 2
 
         async def drive() -> None:
-            conn = HttpConnection(*ctx.address)
+            conn = HttpConnection(*edge.address)
             try:
                 for i in range(shots_before):
                     await _timed_request(conn, collector, KEY_A,

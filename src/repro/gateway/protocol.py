@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -198,6 +199,35 @@ async def read_request(
                             "POST requires Content-Length")
     return HttpRequest(method=method, path=path, query=query,
                        headers=headers, body=body)
+
+
+_STATUS_LINE = re.compile(r"HTTP/[0-9]+(?:\.[0-9]+)? ([0-9]{3})(?: .*)?")
+
+
+def parse_response_head(head: bytes) -> Tuple[int, Dict[str, str], int]:
+    """Parse one HTTP/1.1 response head (the bytes up to the blank
+    line) into ``(status, headers, content_length)``; header names are
+    lower-cased and a missing ``Content-Length`` reads as 0.
+
+    Both clients read the head off their own socket and call this, so a
+    malformed head -- a status line that is not ``HTTP/<v> <3-digit
+    code>``, or a ``Content-Length`` that is not a non-negative
+    integer -- raises :class:`ConnectionError`, the transport failure
+    the clients already retry and count.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    status = _STATUS_LINE.fullmatch(lines[0])
+    if status is None:
+        raise ConnectionError(f"malformed status line {lines[0]!r}")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0")
+    if not re.fullmatch(r"[0-9]+", length):
+        raise ConnectionError(f"malformed Content-Length {length!r}")
+    return int(status.group(1)), headers, int(length)
 
 
 def render_response(

@@ -55,7 +55,8 @@ import math
 import queue as queue_module
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.gateway.auth import ApiKeyAuthenticator, demo_tenants
@@ -173,10 +174,10 @@ class Gateway:
             (read :attr:`port` after start).
         max_body_bytes: ``413`` bound on request bodies.
 
-    Use :meth:`run_in_thread` / :meth:`close` (or the context manager)
-    to drive the gateway from synchronous code -- tests, the load
-    harness, the CI smoke; ``asyncio.run(gateway.serve_forever())``
-    for the CLI.
+    :meth:`run_in_thread` / :meth:`close` (or the context manager) host
+    the event loop on its own thread.  :func:`serving_edge` does that
+    for the CLI, the load harness and the chaos campaign, starting and
+    stopping the backend (and an optional chaos proxy) around it.
     """
 
     def __init__(
@@ -258,21 +259,7 @@ class Gateway:
             if not busy:
                 writer.close()
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled -- the CLI path.
-
-        Cancellation stops the listener and then propagates, so a
-        cancelled serve task reads ``cancelled()`` and
-        ``asyncio.wait_for`` raises its timeout.
-        """
-        if self._asyncio_server is None:
-            await self.start()
-        try:
-            await self._asyncio_server.serve_forever()
-        finally:
-            await self.stop()
-
-    # -- thread-hosted lifecycle (tests, loadgen, CI smoke) ------------------
+    # -- thread-hosted lifecycle ---------------------------------------------
 
     def run_in_thread(self) -> "Gateway":
         """Boot the gateway on a dedicated event-loop thread and block
@@ -606,12 +593,70 @@ class Gateway:
                 f"tenants={len(self.authenticator.tenants)}>")
 
 
+class ServingEdge(NamedTuple):
+    """The started stack :func:`serving_edge` yields."""
+
+    server: object  # the InferenceServer or ClusterServer backend
+    gateway: Gateway
+    proxy: Optional[object]  # the ChaosProxy, when one was asked for
+    address: Tuple[str, int]  # where clients aim: the proxy, if any
+
+
+@contextmanager
+def serving_edge(
+    server,
+    *,
+    authenticator: Optional[ApiKeyAuthenticator] = None,
+    queue_limit: int = 1024,
+    shed_queue_depth: Optional[int] = None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    proxy_faults=None,
+    proxy_seed: int = 0,
+) -> Iterator[ServingEdge]:
+    """Start backend -> :class:`Gateway` -> optional chaos proxy, yield
+    them as a :class:`ServingEdge`, and stop them outside-in on exit.
+
+    ``server`` is an *unstarted* :class:`~repro.serve.InferenceServer`
+    or :class:`~repro.cluster.ClusterServer`; the caller builds it.
+    The gateway is hosted by :meth:`Gateway.run_in_thread` behind an
+    :class:`AdmissionController` with ``queue_limit`` and
+    ``shed_queue_depth``.  ``proxy_faults=None`` means no proxy; any
+    sequence of :class:`~repro.netchaos.NetFault` (empty included)
+    interposes a :class:`~repro.netchaos.ChaosProxy` seeded with
+    ``proxy_seed``.  A layer that fails to start stops the layers
+    already started before the error propagates.
+    """
+    with ExitStack() as stack:
+        server.start()
+        stack.callback(server.stop)
+        gateway = stack.enter_context(Gateway(
+            server,
+            authenticator=authenticator,
+            admission=AdmissionController(
+                server, queue_limit=queue_limit,
+                shed_queue_depth=shed_queue_depth,
+            ),
+            host=host,
+            port=port,
+        ))
+        proxy = None
+        if proxy_faults is not None:
+            from repro.netchaos import ChaosProxy
+
+            proxy = stack.enter_context(ChaosProxy(
+                gateway.address, tuple(proxy_faults), seed=proxy_seed
+            ))
+        yield ServingEdge(
+            server, gateway, proxy,
+            proxy.address if proxy is not None else gateway.address,
+        )
+
+
 def main(argv=None) -> int:
     """``python -m repro serve``: boot a gateway over the demo workload
     (or a tenants file of your own) and serve until interrupted."""
     import argparse
-
-    from repro.gateway.ratelimit import AdmissionController
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -672,34 +717,22 @@ def main(argv=None) -> int:
             batch_max=args.batch_max,
             workers=args.workers,
         )
-    server.start()
-    gateway = Gateway(
-        server,
-        authenticator=authenticator,
-        admission=AdmissionController(server, queue_limit=args.queue_limit),
-        host=args.host,
-        port=args.port,
-    )
-
-    async def _serve() -> None:
-        # SIGTERM and SIGINT both cancel this task: serve_forever stops
-        # the listener and re-raises, asyncio.run surfaces the
-        # cancellation, and the finally below drains the backend and
-        # closes its pool before the process exits 0.
-        loop = asyncio.get_running_loop()
+    with serving_edge(server, authenticator=authenticator,
+                      queue_limit=args.queue_limit,
+                      host=args.host, port=args.port) as edge:
+        # SIGTERM and SIGINT both end the wait below; leaving the
+        # builder then closes the listener, drains the backend and
+        # closes its pool before the process exits 0.  The handlers go
+        # in only now that the pool workers exist.  They put into a
+        # SimpleQueue, whose put() is safe inside a signal handler
+        # (Event.set() could deadlock on the lock its own wait() holds).
+        signals = queue_module.SimpleQueue()
         for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, asyncio.current_task().cancel)
-        await gateway.start()
+            signal.signal(sig, lambda signum, _frame: signals.put(signum))
+        gateway = edge.gateway
         print(f"gateway listening on http://{gateway.host}:{gateway.port} "
               f"(plan {server.compiled.fingerprint[:12]}, "
               f"{len(authenticator.tenants)} tenants)")
         sys.stdout.flush()
-        await gateway.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        pass
-    finally:
-        server.stop()
+        signals.get()
     return 0

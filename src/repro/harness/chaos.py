@@ -723,55 +723,30 @@ def _serial_answer(compiled, train: np.ndarray):
     return int(rates.argmax()), [float(r) for r in rates]
 
 
-class _NetEdge:
-    """The full request path under test: a live serial
-    :class:`InferenceServer` behind a live :class:`Gateway` behind a
-    seeded :class:`ChaosProxy`, plus a client factory aimed at the
-    proxy.  ``close()`` tears the stack down outside-in."""
+def _net_edge(faults=(), *, shed_queue_depth=None):
+    """The full request path under test: a serial
+    :class:`InferenceServer` behind the serving edge, with a seeded
+    chaos proxy carrying ``faults`` in front of the gateway."""
+    from repro.gateway import serving_edge
 
-    def __init__(self, faults=(), *, seed: int = 13,
-                 queue_limit: int = 64, shed_queue_depth=None):
-        from repro.gateway import (
-            AdmissionController,
-            ApiKeyAuthenticator,
-            Gateway,
-            demo_tenants,
-        )
-        from repro.netchaos import ChaosProxy
-        from repro.serve.server import InferenceServer
+    compiled, _ = _workload(True)
+    return serving_edge(
+        InferenceServer(compiled=compiled, workers=0, batch_max=8),
+        queue_limit=64, shed_queue_depth=shed_queue_depth,
+        proxy_faults=faults, proxy_seed=13,
+    )
 
-        compiled, _ = _workload(True)
-        self.compiled = compiled
-        self.server = InferenceServer(
-            compiled=compiled, workers=0, batch_max=8
-        ).start()
-        self.gateway = Gateway(
-            self.server,
-            authenticator=ApiKeyAuthenticator(demo_tenants()),
-            admission=AdmissionController(
-                self.server, queue_limit=queue_limit,
-                shed_queue_depth=shed_queue_depth,
-            ),
-        ).run_in_thread()
-        self.proxy = ChaosProxy(
-            self.gateway.address, tuple(faults), seed=seed
-        ).start()
 
-    def client(self, api_key: str = "demo-key-a", **kwargs):
-        from repro.gateway import GatewayClient
-        return GatewayClient(
-            "127.0.0.1", self.proxy.port, api_key=api_key, **kwargs
-        )
+def _net_client(edge, api_key: str = "demo-key-a", **kwargs):
+    """A :class:`~repro.gateway.GatewayClient` aimed at the proxy."""
+    from repro.gateway import GatewayClient
+    return GatewayClient(*edge.address, api_key=api_key, **kwargs)
 
-    def replays(self) -> Dict[str, int]:
-        """The gateway's idempotent-replay ledger, by tenant."""
-        ledger = self.gateway.counters.snapshot()["idempotent_replays"]
-        return {tenant: count for (tenant,), count in ledger.items()}
 
-    def close(self) -> None:
-        self.proxy.close()
-        self.gateway.close()
-        self.server.stop(drain=False)
+def _replays(edge) -> Dict[str, int]:
+    """The gateway's idempotent-replay ledger, by tenant."""
+    ledger = edge.gateway.counters.snapshot()["idempotent_replays"]
+    return {tenant: count for (tenant,), count in ledger.items()}
 
 
 def _check_net_results(edge, trains, results, label: str) -> None:
@@ -780,7 +755,7 @@ def _check_net_results(edge, trains, results, label: str) -> None:
     _check(len(results) == len(trains),
            f"{label}: {len(results)} results for {len(trains)} trains")
     for i, (train, res) in enumerate(zip(trains, results)):
-        want_pred, want_rates = _serial_answer(edge.compiled, train)
+        want_pred, want_rates = _serial_answer(edge.server.compiled, train)
         _check(res.status == 200,
                f"{label}: request {i} got HTTP {res.status}")
         _check(res.payload.get("prediction") == want_pred,
@@ -801,13 +776,12 @@ def _scenario_net_reset_storm(quick: bool, marker_dir: str) -> Dict:
 
     resets = 2 if quick else 4
     n_trains = 4 if quick else 8
-    edge = _NetEdge(
+    with _net_edge(
         (NetFault("reset", budget=resets, direction="down",
                   after_bytes=20),),
-    )
-    try:
-        trains = _net_trains(edge.compiled, n_trains)
-        client = edge.client(retry=RetryPolicy(
+    ) as edge:
+        trains = _net_trains(edge.server.compiled, n_trains)
+        client = _net_client(edge, retry=RetryPolicy(
             max_attempts=resets + 2, backoff_base_s=0.01,
             backoff_cap_s=0.05, budget=resets,
         ))
@@ -837,7 +811,7 @@ def _scenario_net_reset_storm(quick: bool, marker_dir: str) -> Dict:
         _check(stats["replays"] == 1,
                f"net-reset-storm: client saw {stats['replays']} replay "
                f"responses, want 1 (only the last retry is delivered)")
-        replays = edge.replays()
+        replays = _replays(edge)
         _check(replays == {"tenant-a": resets},
                f"net-reset-storm: gateway replays "
                f"{replays} != {{'tenant-a': {resets}}}")
@@ -850,8 +824,6 @@ def _scenario_net_reset_storm(quick: bool, marker_dir: str) -> Dict:
             "proxy": edge.proxy.stats(),
             "gateway_replays": replays,
         }
-    finally:
-        edge.close()
 
 
 def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
@@ -863,13 +835,13 @@ def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
 
     spikes = 1 if quick else 2
     n_trains = 4 if quick else 8
-    edge = _NetEdge(
+    with _net_edge(
         (NetFault("latency", budget=spikes, direction="down",
                   delay_ms=900.0),),
-    )
-    try:
-        trains = _net_trains(edge.compiled, n_trains)
-        client = edge.client(
+    ) as edge:
+        trains = _net_trains(edge.server.compiled, n_trains)
+        client = _net_client(
+            edge,
             timeout_s=0.3,
             retry=RetryPolicy(max_attempts=spikes + 2,
                               backoff_base_s=0.01, backoff_cap_s=0.05),
@@ -893,7 +865,7 @@ def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
         _check(stats["conn_errors"] == 0 and stats["replays"] == 1,
                f"net-latency-spike: conn_errors={stats['conn_errors']} "
                f"replays={stats['replays']}, want 0 and 1")
-        replays = edge.replays()
+        replays = _replays(edge)
         _check(replays == {"tenant-a": spikes},
                f"net-latency-spike: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
@@ -905,8 +877,6 @@ def _scenario_net_latency_spike(quick: bool, marker_dir: str) -> Dict:
             "proxy": edge.proxy.stats(),
             "gateway_replays": replays,
         }
-    finally:
-        edge.close()
 
 
 def _scenario_net_black_hole(quick: bool, marker_dir: str) -> Dict:
@@ -918,12 +888,12 @@ def _scenario_net_black_hole(quick: bool, marker_dir: str) -> Dict:
 
     holes = 1 if quick else 2
     n_trains = 4 if quick else 8
-    edge = _NetEdge(
+    with _net_edge(
         (NetFault("blackhole", budget=holes, hold_s=10.0),),
-    )
-    try:
-        trains = _net_trains(edge.compiled, n_trains)
-        client = edge.client(
+    ) as edge:
+        trains = _net_trains(edge.server.compiled, n_trains)
+        client = _net_client(
+            edge,
             timeout_s=0.3,
             retry=RetryPolicy(max_attempts=holes + 2,
                               backoff_base_s=0.01, backoff_cap_s=0.05),
@@ -947,7 +917,7 @@ def _scenario_net_black_hole(quick: bool, marker_dir: str) -> Dict:
         _check(stats["replays"] == 0,
                "net-black-hole: the gateway never saw the black-holed "
                "request, so nothing should replay")
-        replays = edge.replays()
+        replays = _replays(edge)
         _check(replays == {}, f"net-black-hole: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
                "net-black-hole: duplicate compute after black-hole retry")
@@ -957,8 +927,6 @@ def _scenario_net_black_hole(quick: bool, marker_dir: str) -> Dict:
             "client": stats,
             "proxy": edge.proxy.stats(),
         }
-    finally:
-        edge.close()
 
 
 def _scenario_net_slow_client(quick: bool, marker_dir: str) -> Dict:
@@ -969,15 +937,14 @@ def _scenario_net_slow_client(quick: bool, marker_dir: str) -> Dict:
 
     slows = 2 if quick else 4
     n_trains = 4 if quick else 8
-    edge = _NetEdge(
+    with _net_edge(
         (NetFault("slow-send", budget=slows, direction="up",
                   chunk_bytes=40, pause_ms=4.0),),
-    )
-    try:
-        trains = _net_trains(edge.compiled, n_trains)
+    ) as edge:
+        trains = _net_trains(edge.server.compiled, n_trains)
         # keep_alive=False: one connection per request, so exactly
         # `slows` of the `n_trains` connections are armed.
-        client = edge.client(keep_alive=False, timeout_s=10.0)
+        client = _net_client(edge, keep_alive=False, timeout_s=10.0)
         try:
             results = [client.infer(t) for t in trains]
             stats = client.stats()
@@ -1001,8 +968,6 @@ def _scenario_net_slow_client(quick: bool, marker_dir: str) -> Dict:
             "client": stats,
             "proxy": edge.proxy.stats(),
         }
-    finally:
-        edge.close()
 
 
 def _scenario_net_hedge_race(quick: bool, marker_dir: str) -> Dict:
@@ -1012,13 +977,12 @@ def _scenario_net_hedge_race(quick: bool, marker_dir: str) -> Dict:
     from repro.netchaos import NetFault
 
     n_trains = 4 if quick else 8
-    edge = _NetEdge(
+    with _net_edge(
         (NetFault("latency", budget=1, direction="down",
                   delay_ms=700.0),),
-    )
-    try:
-        trains = _net_trains(edge.compiled, n_trains)
-        client = edge.client(hedge_after_ms=150.0, timeout_s=10.0)
+    ) as edge:
+        trains = _net_trains(edge.server.compiled, n_trains)
+        client = _net_client(edge, hedge_after_ms=150.0, timeout_s=10.0)
         try:
             results = [client.infer(t) for t in trains]
             stats = client.stats()
@@ -1040,7 +1004,7 @@ def _scenario_net_hedge_race(quick: bool, marker_dir: str) -> Dict:
                "net-hedge-race: hedging must not consume retries")
         _check(edge.proxy.fired("latency") == 1,
                f"net-hedge-race: fired {edge.proxy.fired('latency')}")
-        replays = edge.replays()
+        replays = _replays(edge)
         _check(replays == {"tenant-a": 1},
                f"net-hedge-race: gateway replays {replays}")
         _check(edge.server.stats().completed == n_trains,
@@ -1051,8 +1015,6 @@ def _scenario_net_hedge_race(quick: bool, marker_dir: str) -> Dict:
             "proxy": edge.proxy.stats(),
             "gateway_replays": replays,
         }
-    finally:
-        edge.close()
 
 
 def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
@@ -1061,9 +1023,8 @@ def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
     limit while batch (priority-2) traffic sheds as ``overloaded`` with
     a ``Retry-After`` hint at the soft watermark.  Releasing the hold
     drains every admitted request to a bit-identical answer."""
-    edge = _NetEdge(queue_limit=64, shed_queue_depth=2)
-    try:
-        trains = _net_trains(edge.compiled, 4)
+    with _net_edge(shed_queue_depth=2) as edge:
+        trains = _net_trains(edge.server.compiled, 4)
         release = threading.Event()
         original_forward = edge.server._forward
 
@@ -1078,7 +1039,7 @@ def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
         def request(i: int) -> None:
             # Distinct seeds: each client draws its own idempotency-key
             # stream, so concurrent requests never alias in the ledger.
-            client = edge.client("demo-key-a", seed=i + 1)
+            client = _net_client(edge, "demo-key-a", seed=i + 1)
             try:
                 results[i] = client.infer(trains[i])
             except BaseException as exc:  # surfaced via `errors`
@@ -1102,7 +1063,7 @@ def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
             _wait_until(lambda i=i: edge.server.queue_depth() >= i,
                         label=f"net-overload-shed: request {i} queued")
         # Batch-priority traffic now sheds at the soft watermark.
-        shed_client = edge.client("demo-key-burst", seed=99)
+        shed_client = _net_client(edge, "demo-key-burst", seed=99)
         try:
             sheds = [shed_client.infer(trains[3]) for _ in range(3)]
             shed_stats = shed_client.stats()
@@ -1146,8 +1107,6 @@ def _scenario_net_overload_shed(quick: bool, marker_dir: str) -> Dict:
             "admitted": len(ordered),
             "shed_client": shed_stats,
         }
-    finally:
-        edge.close()
 
 
 NETWORK_SCENARIOS = (

@@ -141,23 +141,15 @@ class TestServing:
 
 class TestGatewayIntegration:
     def test_metrics_and_readyz_expose_cluster_gauges(self, workload):
-        from repro.gateway.auth import ApiKeyAuthenticator, demo_tenants
-        from repro.gateway.ratelimit import AdmissionController
-        from repro.gateway.server import Gateway
+        from repro.gateway import serving_edge
 
         _, compiled, trains = workload
         server = ClusterServer(
             compiled=compiled, nodes=2, node_workers=0,
             supervise_interval_s=0,
-        ).start()
-        gateway = Gateway(
-            server,
-            authenticator=ApiKeyAuthenticator(demo_tenants()),
-            admission=AdmissionController(server),
         )
-        gateway.run_in_thread()
-        try:
-            host, port = gateway.address
+        with serving_edge(server) as edge:
+            host, port = edge.address
             base = f"http://{host}:{port}"
             body = json.dumps({
                 "spike_train": trains[:, 0, :].astype(int).tolist()
@@ -192,9 +184,6 @@ class TestGatewayIntegration:
             except urllib.error.HTTPError as exc:
                 status = exc.code
             assert status == 503
-        finally:
-            gateway.close()
-            server.stop()
 
     def test_serve_cli_accepts_nodes_flag(self):
         from repro.gateway.server import main

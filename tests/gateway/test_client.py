@@ -7,6 +7,7 @@ full-path behaviors ride the ``net-*`` chaos scenarios and the gateway
 integration tests.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -26,14 +27,26 @@ from repro.gateway.client import (
     GatewayClient,
     RetryPolicy,
 )
+from repro.gateway.loadgen import HttpConnection
 
 TRAIN = [[1, 0, 1], [0, 1, 0]]
+
+#: Response heads the gateway never sends.  Both clients must read each
+#: as a transport failure, not return it or crash on it.
+MALFORMED_HEADS = {
+    "length-not-a-number":
+        b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+    "code-after-reason": b"HTTP/1.1 OK 200\r\nContent-Length: 2\r\n\r\n{}",
+    "negative-length": b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+    "no-status-line": b"garbage\r\nContent-Length: 2\r\n\r\n{}",
+}
 
 
 class _ScriptedServer:
     """Accepts connections; each request body is captured, then the
     scripted behavior for that request index runs: ``"ok"`` answers
-    200, ``"drop"`` closes without answering."""
+    200, ``"drop"`` closes without answering, and ``bytes`` are sent
+    verbatim as the whole reply."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -96,6 +109,9 @@ class _ScriptedServer:
                           if index < len(self.script) else "ok")
                 if action == "drop":
                     return
+                if isinstance(action, bytes):
+                    conn.sendall(action)
+                    continue
                 payload = json.dumps({"seen": index}).encode("utf-8")
                 conn.sendall(
                     b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
@@ -214,6 +230,38 @@ class TestTransportFailures:
             client.infer(TRAIN, deadline_ms=120.0)
         assert client.stats()["deadline_exceeded"] == 1
         assert client.stats()["attempts"] < 1000
+
+
+@pytest.mark.parametrize("client", ["GatewayClient", "HttpConnection"])
+@pytest.mark.parametrize("head", sorted(MALFORMED_HEADS))
+def test_malformed_response_head_is_a_transport_error(head, client):
+    server = _ScriptedServer([MALFORMED_HEADS[head]] * 2)
+    try:
+        if client == "GatewayClient":
+            with GatewayClient(
+                "127.0.0.1", server.port, api_key="k",
+                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0,
+                                  jitter=0.0),
+            ) as gateway_client:
+                with pytest.raises(TransportError) as excinfo:
+                    gateway_client.infer(TRAIN)
+                assert excinfo.value.attempts == 2
+                assert gateway_client.stats()["conn_errors"] == 2
+        else:
+            async def exchange():
+                conn = HttpConnection("127.0.0.1", server.port)
+                try:
+                    await conn.request(
+                        "POST", "/infer",
+                        body=json.dumps({"spike_train": TRAIN}).encode(),
+                    )
+                finally:
+                    await conn.close()
+
+            with pytest.raises(ConnectionError):
+                asyncio.run(exchange())
+    finally:
+        server.close()
 
 
 class TestDeadlinePropagation:

@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 
 from repro.gateway import (
-    AdmissionController,
     ApiKeyAuthenticator,
     Gateway,
+    GatewayClient,
     IdempotencyLedger,
     Tenant,
+    serving_edge,
 )
 from repro.harness import random_binarized_network
 from repro.serve import CircuitBreaker, InferenceServer
@@ -57,23 +58,12 @@ def train():
 
 @contextmanager
 def live_gateway(compiled, *, breaker=None,
-                 queue_limit=1024, shed_queue_depth=None,
-                 max_body_bytes=1 << 20):
-    server = InferenceServer(compiled=compiled, breaker=breaker).start()
-    gateway = Gateway(
-        server,
-        authenticator=ApiKeyAuthenticator(TENANTS),
-        admission=AdmissionController(
-            server, queue_limit=queue_limit,
-            shed_queue_depth=shed_queue_depth,
-        ),
-        max_body_bytes=max_body_bytes,
-    )
-    try:
-        with gateway:
-            yield gateway
-    finally:
-        server.stop()
+                 queue_limit=1024, shed_queue_depth=None):
+    server = InferenceServer(compiled=compiled, breaker=breaker)
+    with serving_edge(server, authenticator=ApiKeyAuthenticator(TENANTS),
+                      queue_limit=queue_limit,
+                      shed_queue_depth=shed_queue_depth) as edge:
+        yield edge.gateway
 
 
 def call_full(gateway, method, path, *, key=None, body=None, timeout=15.0,
@@ -261,8 +251,14 @@ class TestValidationAndRouting:
         assert payload["error"]["code"] == "invalid_train"
 
     def test_oversized_body_413(self, compiled, train):
-        with live_gateway(compiled, max_body_bytes=64) as gateway:
-            status, payload = infer(gateway, train)
+        # The body bound is a Gateway setting the builder does not take.
+        server = InferenceServer(compiled=compiled).start()
+        try:
+            with Gateway(server, authenticator=ApiKeyAuthenticator(TENANTS),
+                         max_body_bytes=64) as gateway:
+                status, payload = infer(gateway, train)
+        finally:
+            server.stop()
         assert status == 413
         assert payload["error"]["code"] == "payload_too_large"
 
@@ -557,50 +553,44 @@ class TestCloseWithInflight:
         drains in-flight handler tasks before the loop closes, so a
         request already accepted on a keep-alive connection still gets
         its 200 over the live socket."""
-        server = InferenceServer(compiled=compiled).start()
-        gateway = Gateway(
-            server,
-            authenticator=ApiKeyAuthenticator(TENANTS),
-            admission=AdmissionController(server),
-        ).run_in_thread()
         release = threading.Event()
-        original = server._forward
-
-        def held_forward(rows):
-            release.wait(15.0)
-            return original(rows)
-
-        server._forward = held_forward
-        conn = HTTPConnection("127.0.0.1", gateway.port, timeout=30)
         results = {}
-        try:
-            body = json.dumps(
-                {"spike_train": train.astype(int).tolist()}
-            ).encode()
+        with live_gateway(compiled) as gateway:
+            server = gateway.server
+            original = server._forward
 
-            def request():
-                conn.request("POST", "/infer", body=body,
-                             headers={"X-API-Key": "key-alpha"})
-                response = conn.getresponse()
-                results["status"] = response.status
-                results["payload"] = json.loads(response.read())
+            def held_forward(rows):
+                release.wait(15.0)
+                return original(rows)
 
-            reader = threading.Thread(target=request)
-            reader.start()
-            _wait_for(lambda: server.stats().pending >= 1)
-            closer = threading.Thread(target=gateway.close)
-            closer.start()
-            time.sleep(0.05)  # close is now waiting on the handler
-            release.set()
-            reader.join(timeout=30)
-            closer.join(timeout=30)
-            assert not closer.is_alive()
-        finally:
-            release.set()
-            server._forward = original
-            conn.close()
-            gateway.close()
-            server.stop()
+            server._forward = held_forward
+            conn = HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+            try:
+                body = json.dumps(
+                    {"spike_train": train.astype(int).tolist()}
+                ).encode()
+
+                def request():
+                    conn.request("POST", "/infer", body=body,
+                                 headers={"X-API-Key": "key-alpha"})
+                    response = conn.getresponse()
+                    results["status"] = response.status
+                    results["payload"] = json.loads(response.read())
+
+                reader = threading.Thread(target=request)
+                reader.start()
+                _wait_for(lambda: server.stats().pending >= 1)
+                closer = threading.Thread(target=gateway.close)
+                closer.start()
+                time.sleep(0.05)  # close is now waiting on the handler
+                release.set()
+                reader.join(timeout=30)
+                closer.join(timeout=30)
+                assert not closer.is_alive()
+            finally:
+                release.set()
+                server._forward = original
+                conn.close()
         assert results["status"] == 200
         assert results["payload"]["tenant"] == "alpha"
         rates = np.asarray(results["payload"]["rates"])
@@ -631,18 +621,8 @@ class TestDrainLifecycle:
         assert payload["error"]["code"] == "missing_api_key"
 
 
-class TestServeForever:
-    """``serve_forever`` (the CLI path) stops the listener on
-    cancellation and then lets the cancellation propagate."""
-
-    @staticmethod
-    def _run(compiled, scenario):
-        server = InferenceServer(compiled=compiled).start()
-        gateway = Gateway(server, authenticator=ApiKeyAuthenticator(TENANTS))
-        try:
-            return gateway, asyncio.run(scenario(gateway))
-        finally:
-            server.stop()
+class TestServingEdge:
+    """The one builder of backend -> gateway -> optional proxy."""
 
     @staticmethod
     def _refused(port):
@@ -652,22 +632,31 @@ class TestServeForever:
             return True
         return False
 
-    def test_wait_for_raises_timeout(self, compiled):
-        async def scenario(gateway):
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(gateway.serve_forever(), 0.2)
+    def test_proxy_round_trip_then_exit_closes_every_port(self, compiled,
+                                                          train):
+        server = InferenceServer(compiled=compiled)
+        with serving_edge(server, authenticator=ApiKeyAuthenticator(TENANTS),
+                          proxy_faults=(), proxy_seed=3) as edge:
+            assert edge.address == edge.proxy.address
+            assert edge.address != edge.gateway.address
+            with GatewayClient(*edge.address, api_key="key-alpha") as client:
+                result = client.infer(train)
+            assert result.status == 200
+            assert result.payload["tenant"] == "alpha"
+            assert edge.proxy.stats()["connections"] == 1
+        assert self._refused(edge.proxy.port)
+        assert self._refused(edge.gateway.port)
+        assert not server.readiness()
 
-        gateway, _ = self._run(compiled, scenario)
-        assert self._refused(gateway.port)
-
-    def test_cancelled_task_reads_cancelled(self, compiled):
-        async def scenario(gateway):
-            task = asyncio.create_task(gateway.serve_forever())
-            await asyncio.sleep(0.2)  # let it bind and start serving
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
-            return task
-
-        gateway, task = self._run(compiled, scenario)
-        assert task.cancelled()
-        assert self._refused(gateway.port)
+    def test_busy_port_raises_and_stops_the_backend(self, compiled):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            server = InferenceServer(compiled=compiled)
+            with pytest.raises(OSError):
+                with serving_edge(server, port=taken.getsockname()[1]):
+                    pytest.fail("entered the edge on a busy port")
+        assert not server.readiness()
+        names = {thread.name for thread in threading.enumerate()}
+        assert "sushi-serve" not in names
+        assert "sushi-gateway" not in names

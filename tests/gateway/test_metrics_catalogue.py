@@ -21,7 +21,12 @@ import pytest
 
 from repro.cluster import AutoscalerConfig, ClusterServer
 from repro.explore import ExploreConfig, run_explore
-from repro.gateway import ApiKeyAuthenticator, Gateway, GatewayClient, Tenant
+from repro.gateway import (
+    ApiKeyAuthenticator,
+    GatewayClient,
+    Tenant,
+    serving_edge,
+)
 from repro.harness import random_binarized_network
 from repro.rsfq import Netlist, TraceEngine, library
 from repro.serve import InferenceServer
@@ -134,23 +139,20 @@ def test_cluster_scrape_matches_the_catalogue(compiled, train):
         compiled=compiled, nodes=2, node_workers=0,
         supervise_interval_s=0, plan_cache=None,
         autoscaler_config=AutoscalerConfig(min_nodes=2, max_nodes=3),
-    ).start()
-    try:
-        with Gateway(server,
-                     authenticator=ApiKeyAuthenticator(TENANTS)) as gateway:
-            touch_edge(gateway, train)
-            net = Netlist("chain")
-            cells = [net.add(library.JTL(f"j{i}")) for i in range(4)]
-            for a, b in zip(cells, cells[1:]):
-                net.connect(a, "dout", b, "din", delay=2.5)
-            TraceEngine(net).run_episode(
-                (tuple(("j0", "din", 150.0 * k) for k in range(4)),)
-            )
-            run_explore(ExploreConfig.quick(), plan_cache=None)
-            server.autoscaler.tick()
-            types, label_keys = scrape(gateway.port)
-    finally:
-        server.stop()
+    )
+    with serving_edge(server,
+                      authenticator=ApiKeyAuthenticator(TENANTS)) as edge:
+        touch_edge(edge.gateway, train)
+        net = Netlist("chain")
+        cells = [net.add(library.JTL(f"j{i}")) for i in range(4)]
+        for a, b in zip(cells, cells[1:]):
+            net.connect(a, "dout", b, "din", delay=2.5)
+        TraceEngine(net).run_episode(
+            (tuple(("j0", "din", 150.0 * k) for k in range(4)),)
+        )
+        run_explore(ExploreConfig.quick(), plan_cache=None)
+        server.autoscaler.tick()
+        types, label_keys = scrape(edge.gateway.port)
     assert types == {name: row[0] for name, row in rows.items()}
     for name, (_, keys, _) in rows.items():
         assert label_keys[name] == {keys}, name
@@ -158,14 +160,10 @@ def test_cluster_scrape_matches_the_catalogue(compiled, train):
 
 def test_single_node_scrape_omits_only_cluster_families(compiled, train):
     rows = catalogue()
-    server = InferenceServer(compiled=compiled).start()
-    try:
-        with Gateway(server,
-                     authenticator=ApiKeyAuthenticator(TENANTS)) as gateway:
-            touch_edge(gateway, train)
-            types, _ = scrape(gateway.port)
-    finally:
-        server.stop()
+    with serving_edge(InferenceServer(compiled=compiled),
+                      authenticator=ApiKeyAuthenticator(TENANTS)) as edge:
+        touch_edge(edge.gateway, train)
+        types, _ = scrape(edge.gateway.port)
     expected = {name for name, row in rows.items()
                 if not row[2].startswith("repro.cluster")}
     assert len(expected) == 55

@@ -142,6 +142,21 @@ class TestFireLedger:
         ledger.claim((1, "latency"), 1)
         assert ledger.snapshot() == {"0:reset": 1, "1:latency": 1}
 
+    def test_keys_stay_bounded_by_the_fault_count(self, upstream):
+        # Keys are (fault index, kind), not connections: a long-lived
+        # proxy's ledger holds at most one key per fault.
+        faults = (NetFault("split", budget=None, direction="both",
+                           chunk_bytes=16),
+                  NetFault("latency", budget=8, direction="down",
+                           delay_ms=1.0))
+        with ChaosProxy(upstream.address, faults, seed=2) as proxy:
+            for k in range(60):
+                payload = b"conn %d" % k
+                assert _roundtrip(proxy.port, payload) == payload
+            fired = proxy.stats()["fired"]
+        assert len(fired) <= len(faults)
+        assert fired == {"0:split": 60, "1:latency": 8}
+
 
 class TestPassthrough:
     def test_bytes_cross_unmodified(self, upstream):
