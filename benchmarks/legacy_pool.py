@@ -13,10 +13,15 @@ and the pool never recovers.
 what lets ``test_supervision_overhead.py`` and ``bench_chaos.py`` pin
 equivalence alongside the steady-state overhead numbers.
 
-One deliberate deviation from the historical pool: its workers cap
-OpenBLAS threads with the supervised pool's own helper and formula
-(``max(1, usable cores // workers)``), so the overhead gate compares
-supervision cost and not BLAS thread configuration.
+Two deliberate deviations from the historical pool, so that the overhead
+gate compares supervision cost only:
+
+* its workers cap OpenBLAS threads with the supervised pool's own helper
+  and formula (``max(1, usable cores // workers)``), not the BLAS thread
+  configuration;
+* it ships rows the way the supervised pool does, as ``bool`` spikes in
+  the input segment, packed and checked in one pass by
+  :func:`repro.ssnn.compile.spike_rows`, not as float64.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.errors import ConfigurationError  # noqa: E402
-from repro.ssnn.compile import CompiledNetwork  # noqa: E402
+from repro.ssnn.compile import CompiledNetwork, spike_rows  # noqa: E402
 from repro.ssnn.pool import (  # noqa: E402
     InferencePoolError,
     _attach_shm,
@@ -63,7 +68,7 @@ def _legacy_worker_main(
             shm_out = _attach_shm(out_name)
             try:
                 rows = np.ndarray(
-                    tuple(shape), dtype=np.float64, buffer=shm_in.buf
+                    tuple(shape), dtype=np.bool_, buffer=shm_in.buf
                 )
                 decisions, spurious, synops = compiled.forward_rows(
                     rows[start:end]
@@ -198,7 +203,7 @@ class LegacyInferencePool:
     # -- execution -----------------------------------------------------------
 
     def infer_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.compiled.in_features:
             raise ConfigurationError(
                 f"expected (batch, {self.compiled.in_features}) rows, "
@@ -213,9 +218,11 @@ class LegacyInferencePool:
                 raise InferencePoolError("inference pool is closed")
             n_rows = rows.shape[0]
             out_shape = (n_rows, self.compiled.out_features)
-            shm_in = self._segment(0, rows.nbytes)
+            shm_in = self._segment(0, rows.size)
             shm_out = self._segment(1, int(np.prod(out_shape)) * 8)
-            np.ndarray(rows.shape, np.float64, buffer=shm_in.buf)[...] = rows
+            spike_rows(rows, out=np.ndarray(
+                rows.shape, np.bool_, buffer=shm_in.buf
+            ))
             job = next(self._jobs)
             shards = self._shards(n_rows, self.workers)
             for idx, (start, end) in enumerate(shards):

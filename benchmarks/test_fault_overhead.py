@@ -8,10 +8,13 @@ Two layers of defence:
   specialised delivery fast path and reuse the fan-out table's own
   cell/port views -- i.e. the fault subsystem is provably absent from the
   hot loop, so its overhead is zero by construction.
-* **Empirical** (best-of-N wall clock): a back-to-back run of the same
-  workload must stay under the ISSUE's 3% overhead budget.  Best-of
-  timing keeps scheduler noise out; the structural gate above is what
-  actually prevents regressions.
+* **Empirical** (best-of-N wall clock): runs of the same workload with
+  and without the inactive model are *interleaved* -- one of each per
+  pair, under the same instantaneous machine load, the arm that runs
+  first alternating -- and the best per-pair ratio must stay under the
+  3% overhead budget.  Pairing keeps the host's speed changes out of the
+  ratio and best-of keeps scheduler noise out; the structural gate above
+  is what actually prevents regressions.
 """
 
 import time
@@ -39,6 +42,16 @@ def timed_run(faults) -> float:
     return time.perf_counter() - start
 
 
+def pair_ratio(inactive_first: bool) -> float:
+    """One inactive-model run over one ``faults=None`` run, taken back to
+    back."""
+    if inactive_first:
+        inactive = timed_run(FaultModel())
+        return inactive / timed_run(None)
+    base = timed_run(None)
+    return timed_run(FaultModel()) / base
+
+
 class TestStructuralGuard:
     def test_none_and_inactive_model_bind_identical_fast_path(self):
         for faults in (None, FaultModel()):
@@ -57,9 +70,7 @@ class TestStructuralGuard:
 
 class TestEmpiricalGuard:
     def test_inactive_model_within_overhead_budget(self):
-        base = min(timed_run(None) for _ in range(REPEATS))
-        inactive = min(timed_run(FaultModel()) for _ in range(REPEATS))
-        ratio = inactive / base
+        ratio = min(pair_ratio(k % 2 == 0) for k in range(REPEATS))
         print(f"\nzero-fault overhead ratio: {ratio:.4f}x "
               f"(budget {OVERHEAD_BUDGET}x)")
         assert ratio < OVERHEAD_BUDGET, (

@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError
 from repro.cluster.node import ACTIVE, DEAD, NodeUnavailableError, PoolNode
 from repro.cluster.ring import ConsistentHashRing
 from repro.obs import MetricFamily
-from repro.ssnn.compile import CompiledNetwork
+from repro.ssnn.compile import CompiledNetwork, spike_rows
 
 CLUSTER_SCHEMA = "repro.cluster/v1"
 
@@ -180,7 +180,7 @@ class ClusterRouter:
     # -- dispatch ------------------------------------------------------------
 
     def affinity_key(self, rows: np.ndarray) -> str:
-        """Plan-affine content key: fingerprint + row-block digest."""
+        """Plan-affine content key: fingerprint + float64 row digest."""
         digest = hashlib.sha256(
             np.ascontiguousarray(rows, dtype=np.float64).tobytes()
         ).hexdigest()[:16]
@@ -221,8 +221,9 @@ class ClusterRouter:
         self, rows: np.ndarray, key: Optional[str] = None
     ) -> Tuple[np.ndarray, int, int]:
         """Execute ``rows`` on the cluster; bit-identical to serial
-        ``compiled.forward_rows`` in every failure combination."""
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        ``compiled.forward_rows`` in every failure combination; a value
+        other than 0 or 1 raises before any node is chosen."""
+        rows = spike_rows(rows)
         if rows.ndim != 2 or rows.shape[1] != self.compiled.in_features:
             raise ConfigurationError(
                 f"expected (batch, {self.compiled.in_features}) rows, "

@@ -45,6 +45,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+from repro.ssnn.compile import spike_rows
+
 ERROR_SCHEMA = "repro.gateway.error/v1"
 INFER_SCHEMA = "repro.gateway.infer/v1"
 
@@ -272,7 +275,7 @@ def error_body(code: str, message: str, **details) -> bytes:
 class InferRequest:
     """A validated ``POST /infer`` payload."""
 
-    spike_train: np.ndarray  # (T, in_features) float64 of {0, 1}
+    spike_train: np.ndarray  # (T, in_features) bool, checked by spike_rows
     deadline_ms: Optional[float]
 
 
@@ -308,7 +311,9 @@ def parse_infer_request(body: bytes, in_features: int) -> InferRequest:
             400, "invalid_train",
             f"spike width {train.shape[1]} != served input {in_features}",
         )
-    if not np.isin(train, (0.0, 1.0)).all():
+    try:
+        train = spike_rows(train)
+    except ConfigurationError:
         raise ProtocolError(400, "invalid_train",
                             "spike_train entries must be 0 or 1")
     deadline_ms = payload.get("deadline_ms")

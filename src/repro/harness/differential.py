@@ -64,10 +64,8 @@ def reference_forward_rows(
 
     Returns ``(decisions, spurious, synops)``.  This is the pre-compile
     kernel kept as the differential oracle; the runtime's fast engine
-    runs the fused
-    :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows` instead,
-    which is bit-identical but folds the final-sum reference and the
-    synops statistic into the two bucket matmuls.
+    runs the one-matmul
+    :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows` instead.
     """
     current = rows
     spurious = 0
@@ -90,8 +88,10 @@ class _ReferenceRuntime(SushiRuntime):
     :meth:`~SushiRuntime.infer_per_sample` run over the oracle too."""
 
     def _forward_rows(self, network, rows):
+        # float64: on bool rows the oracle's synops product is logical.
         decisions, spurious, synops = reference_forward_rows(
-            network.layers, rows, 1 << self.sc_per_npe, self.reorder
+            network.layers, np.asarray(rows, dtype=np.float64),
+            1 << self.sc_per_npe, self.reorder,
         )
         reloads = self._plan_for(network).reload_events()
         return decisions, spurious, synops, reloads
@@ -110,8 +110,8 @@ def random_binarized_network(
     """A random integer network guaranteed to stream safely on an
     ``sc_per_npe``-SC NPE under reordered bucketing.
 
-    Weights are drawn from ``[-max_magnitude, max_magnitude]`` (re-drawn
-    until every neuron keeps at least one connection); thresholds are
+    Weights are drawn from ``[-max_magnitude, max_magnitude]`` (a dead
+    neuron's column is re-drawn until it connects); thresholds are
     drawn so that ``threshold + worst-case inhibition <= 2**sc_per_npe``
     (the :func:`repro.ssnn.bucketing.required_capacity` bound) *and*
     ``threshold <= total excitation`` (so neurons are actually reachable
@@ -120,14 +120,15 @@ def random_binarized_network(
     if len(sizes) < 2:
         raise ConfigurationError("need at least an input and output size")
     capacity = 1 << sc_per_npe
+    low, high = -max_magnitude, max_magnitude + 1
     layers = []
     for n_in, n_out in zip(sizes, sizes[1:]):
+        weights = rng.integers(low, high, size=(n_in, n_out))
         for _ in range(100):
-            weights = rng.integers(
-                -max_magnitude, max_magnitude + 1, size=(n_in, n_out)
-            )
-            if not (np.abs(weights).sum(axis=0) == 0).any():
+            dead = np.flatnonzero(~weights.any(axis=0))
+            if not dead.size:
                 break
+            weights[:, dead] = rng.integers(low, high, size=(n_in, dead.size))
         else:
             raise ConfigurationError(
                 "could not draw a network without dead neurons"

@@ -55,6 +55,7 @@ from repro.ssnn.compile import (
     CompiledNetwork,
     compile_network,
     resolve_plan_cache,
+    spike_rows,
 )
 from repro.ssnn.pool import GuardedPool
 
@@ -83,7 +84,7 @@ class ServeResult:
 
 @dataclass
 class _Request:
-    train: np.ndarray  # (T, in_features)
+    train: np.ndarray  # (T, in_features) bool
     future: Future
     enqueued: float
     deadline: Optional[float] = None  # monotonic instant, None = no bound
@@ -279,17 +280,17 @@ class InferenceServer:
         """Enqueue one sample; returns a future of :class:`ServeResult`.
 
         ``spike_train`` is ``(T, in_features)`` (or ``(T, 1,
-        in_features)``, squeezed).  Raises immediately on shape errors
-        and ``queue.Full`` under backpressure.  With ``deadline_ms`` the
-        request fails with :class:`DeadlineExceededError` instead of
-        executing if it is still queued when the deadline lapses.
+        in_features)``, squeezed) of 0s and 1s.  Raises immediately on a bad
+        shape or value and ``queue.Full`` under backpressure.  With
+        ``deadline_ms`` the request fails with :class:`DeadlineExceededError`
+        instead of executing if it is still queued when the deadline lapses.
         """
         if not self._running or not self._accepting:
             raise ConfigurationError("server is not accepting requests; "
                                      "call start()")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ConfigurationError("deadline_ms must be > 0")
-        train = np.asarray(spike_train, dtype=np.float64)
+        train = spike_rows(spike_train)
         if train.ndim == 3 and train.shape[1] == 1:
             train = train[:, 0, :]
         if train.ndim != 2:

@@ -14,9 +14,9 @@ Implements the paper's section 5 methods:
   chip (exact protocol) or a vectorised fast engine with identical
   semantics, plus the statistics the performance models consume.
 * :mod:`repro.ssnn.compile` -- compile-once lowering to an immutable
-  :class:`CompiledNetwork` (packed bucket matrices, reorder permutations,
-  preload vectors, slice schedule, reload statistics) with a
-  content-addressed on-disk :class:`PlanCache`.
+  :class:`CompiledNetwork` (signed weight matrices, reorder permutations,
+  slice schedule, reload statistics) with a content-addressed on-disk
+  :class:`PlanCache`.
 * :mod:`repro.ssnn.pool` -- a persistent shared-memory
   :class:`InferencePool` executing one compiled plan across worker
   processes with zero per-call weight pickling (see docs/SERVING.md).

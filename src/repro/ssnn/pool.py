@@ -10,10 +10,10 @@ for a serving workload that is pure overhead on the hot path.
   (the compile-once artifact is the only thing that ever crosses the
   process boundary by value).
 * **Row blocks travel by shared memory.**  Every call writes the input
-  rows into a reusable ``multiprocessing.shared_memory`` segment and the
-  workers write their decision shards into a shared output segment;
-  the per-call queue traffic is a handful of tuples of ints -- zero
-  pickling of weights or row data.
+  rows into a reusable ``multiprocessing.shared_memory`` segment, one
+  ``bool`` per spike, and the workers write their decision shards into
+  a shared output segment; the per-call queue traffic is a handful of
+  tuples of ints -- zero pickling of weights or row data.
 * **Scratch buffers persist.**  The input/output segments are
   preallocated and grown geometrically, so steady-state serving does no
   segment creation at all.
@@ -99,7 +99,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import Counters
-from repro.ssnn.compile import CompiledNetwork
+from repro.ssnn.compile import CompiledNetwork, spike_rows
 
 #: Bytes reserved at the head of the input segment for the packed
 #: ``(job, epoch)`` guard workers validate before computing/writing.
@@ -268,7 +268,7 @@ def _worker_main(slot, payload, tasks, results, blas_threads,
                                   "input epoch guard mismatch"))
                     continue
                 rows = np.ndarray(
-                    tuple(shape), dtype=np.float64,
+                    tuple(shape), dtype=np.bool_,
                     buffer=shm_in.buf, offset=_HEADER,
                 )
                 decisions, spurious, synops = compiled.forward_rows(
@@ -611,11 +611,12 @@ class InferencePool:
         Returns ``(decisions, spurious, synops)`` bit-identical to
         ``self.compiled.forward_rows(rows)`` -- including across worker
         deaths, freezes and segment loss, which are recovered
-        transparently.  Raises :class:`PoisonBatchError` when the block
-        itself keeps killing workers (run it serially) and
+        transparently.  Raises :class:`ConfigurationError` for a value
+        other than 0 or 1 before dispatching, :class:`PoisonBatchError`
+        when the block itself keeps killing workers (run it serially) and
         :class:`InferencePoolError` for unrecoverable failures.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.compiled.in_features:
             raise ConfigurationError(
                 f"expected (batch, {self.compiled.in_features}) rows, "
@@ -645,13 +646,13 @@ class InferencePool:
         segment_rounds = 0
 
         def publish() -> None:
-            """(Re)write rows + ``(job, epoch)`` guard into the current
-            segments (allocating/regrowing as needed)."""
-            shm_in = self._segment(0, _HEADER + rows.nbytes)
+            """(Re)write rows as checked ``bool`` spikes + ``(job, epoch)``
+            guard into the current segments (allocating/regrowing)."""
+            shm_in = self._segment(0, _HEADER + rows.size)
             shm_out = self._segment(1, int(np.prod(out_shape)) * 8)
-            np.ndarray(
-                rows.shape, np.float64, buffer=shm_in.buf, offset=_HEADER
-            )[...] = rows
+            spike_rows(rows, out=np.ndarray(
+                rows.shape, np.bool_, buffer=shm_in.buf, offset=_HEADER
+            ))
             shm_in.buf[:_HEADER] = _pack_guard(job, epoch)
             state["in"], state["out"] = shm_in, shm_out
 
@@ -824,9 +825,10 @@ class GuardedPool:
       after the row rule because a granted half-open ``allow()`` uses
       up the probe.  A pool success is recorded as one.  So is a
       :class:`PoisonBatchError` (the pool healed and fingered the
-      block), and that block runs serially.  Any other of
-      :data:`POOL_ERRORS` is recorded as a failure, and that block runs
-      serially.  The pool is kept either way.
+      block), and that block runs serially; and so is a block the pool
+      refuses for a value other than 0 or 1, which is then raised.  Any
+      other of :data:`POOL_ERRORS` is recorded as a failure, and that
+      block runs serially.  The pool is kept either way.
     * **Spawn or degrade.**  :meth:`open`, or else the first block that
       meets the row rule, spawns the pool; one that cannot be built
       leaves the guard serial (``pool`` stays ``None``).
@@ -891,6 +893,9 @@ class GuardedPool:
             if pool is not None and self.breaker.allow():
                 try:
                     result = pool.infer_rows(rows)
+                except ConfigurationError:
+                    self.breaker.record_success()
+                    raise
                 except PoisonBatchError:
                     self.breaker.record_success()
                     self._counts.inc("poison_batches")

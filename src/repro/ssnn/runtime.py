@@ -43,6 +43,7 @@ from repro.ssnn.compile import (
     PlanCache,
     compile_network,
     resolve_plan_cache,
+    spike_rows,
 )
 from repro.ssnn.pool import GuardedPool
 
@@ -77,7 +78,7 @@ def perturb_spike_trains(
     """
     active_specs = [spec for spec in faults.specs if spec.probability > 0.0]
     if not active_specs:
-        return np.asarray(spike_trains, dtype=np.float64), 0
+        return np.asarray(spike_trains), 0
     rng = np.random.default_rng(
         _stable_seed("sushi-runtime-faults", repr(faults.seed), attempt)
     )
@@ -313,7 +314,8 @@ class SushiRuntime:
 
         The whole batch is dispatched at once; results are bit-identical
         to :meth:`infer_per_sample` (samples are independent under both
-        engines -- the differential tests assert it).
+        engines -- the differential tests assert it).  A value other than
+        0 or 1 raises :class:`ConfigurationError` on either engine.
         """
         spike_trains = self._validated(network, spike_trains)
         if self.faults is not None and self.faults.active:
@@ -350,6 +352,7 @@ class SushiRuntime:
         :class:`~repro.errors.FaultInjectionError`.
         """
         policy = self.retry_policy
+        spike_trains = spike_rows(spike_trains)
         reference = self._software_reference(network, spike_trains)
         recovery: List[str] = []
         total_injected = 0
@@ -442,7 +445,7 @@ class SushiRuntime:
     # -- helpers ------------------------------------------------------------
 
     def _validated(self, network, spike_trains) -> np.ndarray:
-        spike_trains = np.asarray(spike_trains, dtype=np.float64)
+        spike_trains = np.asarray(spike_trains)
         if spike_trains.ndim != 3:
             raise ConfigurationError(
                 "spike_trains must be (T, batch, in_features)"
@@ -530,6 +533,7 @@ class SushiRuntime:
     # -- behavioural engine ------------------------------------------------------
 
     def _infer_behavioral(self, network, spike_trains) -> RuntimeResult:
+        spike_trains = spike_rows(spike_trains)
         if not self.reorder:
             raise ConfigurationError(
                 "the behavioural engine executes bit-slice plans, which are "

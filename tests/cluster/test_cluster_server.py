@@ -13,6 +13,8 @@ from repro.cluster import AutoscalerConfig, ClusterServer
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
 from repro.ssnn import SushiRuntime, compile_network
+from tests.serve.test_server import assert_bad_train_refused
+from tests.ssnn.test_compile import BAD_SPIKES
 
 CHIP_N = 4
 SC = 8
@@ -45,6 +47,17 @@ class TestServing:
                 res.output_raster, want.output_raster[:, b, :]
             )
             assert res.prediction == int(want.predictions[b])
+
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_rejects_values_other_than_0_or_1(self, workload, value):
+        network, compiled, trains = workload
+        want = SushiRuntime(chip_n=CHIP_N, sc_per_npe=SC,
+                            plan_cache=None).infer(network, trains)
+        with ClusterServer(
+            compiled=compiled, nodes=2, node_workers=0,
+            supervise_interval_s=0,
+        ) as server:
+            assert_bad_train_refused(server, trains, want, value)
 
     def test_node_death_is_invisible_to_clients(self, workload):
         _, compiled, trains = workload

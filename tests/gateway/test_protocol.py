@@ -15,6 +15,7 @@ from repro.gateway.protocol import (
     read_request,
     render_response,
 )
+from tests.ssnn.test_compile import BAD_SPIKES
 
 
 def parse(raw: bytes, **kwargs):
@@ -139,8 +140,8 @@ class TestInferPayload:
         req = parse_infer_request(
             self.body(spike_train=train, deadline_ms=25), in_features=3
         )
-        assert req.spike_train.shape == (2, 3)
-        assert req.spike_train.dtype == np.float64
+        assert req.spike_train.dtype == np.bool_
+        assert np.array_equal(req.spike_train, train)
         assert req.deadline_ms == 25.0
 
     def test_deadline_optional(self):
@@ -180,11 +181,14 @@ class TestInferPayload:
         assert "3" in exc.value.message
 
     def test_non_binary_entries(self):
-        with pytest.raises(ProtocolError) as exc:
-            parse_infer_request(
-                self.body(spike_train=[[0.5, 1.0]]), in_features=2
-            )
-        assert exc.value.code == "invalid_train"
+        for value in BAD_SPIKES:
+            with pytest.raises(ProtocolError) as exc:
+                parse_infer_request(
+                    self.body(spike_train=[[value, 1.0]]), in_features=2
+                )
+            assert exc.value.status == 400
+            assert exc.value.code == "invalid_train"
+            assert exc.value.message == "spike_train entries must be 0 or 1"
 
     @pytest.mark.parametrize("deadline", [0, -1, "soon", True])
     def test_bad_deadline(self, deadline):

@@ -21,6 +21,8 @@ from repro.harness import random_binarized_network, random_spike_trains
 from repro.serve import CircuitBreaker, InferenceServer, ServerStats
 from repro.ssnn import PoisonBatchError, SushiRuntime, compile_network
 
+from tests.ssnn.test_compile import BAD_SPIKES
+
 CHIP_N = 4
 SC = 8
 
@@ -36,6 +38,24 @@ def workload():
 def expected_results(network, trains):
     runtime = SushiRuntime(chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None)
     return runtime.infer(network, trains)
+
+
+def assert_bad_train_refused(server, trains, want, value):
+    """``submit`` refuses a train holding ``value`` at once; good
+    requests around it are answered as ``want`` and are all that
+    ``stats().completed`` counts."""
+    bad = trains[:, 0, :].copy()
+    bad[1, 3] = value
+    before = server.submit(trains[:, 0, :])
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        server.submit(bad)
+    after = server.submit(trains[:, 1, :])
+    for b, future in enumerate((before, after)):
+        assert np.array_equal(future.result(timeout=30.0).output_raster,
+                              want.output_raster[:, b, :])
+    stats = server.stats()
+    assert stats.completed == stats.requests == 2
+    assert stats.failed == 0
 
 
 def hold_dispatcher(server):
@@ -215,6 +235,16 @@ class TestLifecycleAndValidation:
                 server.submit(np.zeros((3, network.in_features + 1)))
             with pytest.raises(ConfigurationError):
                 server.submit(np.zeros(network.in_features))
+
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_rejects_values_other_than_0_or_1(self, workload, value):
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None
+        ) as server:
+            assert_bad_train_refused(
+                server, trains, expected_results(network, trains), value
+            )
 
     def test_stop_drains_queued_requests(self, workload):
         network, trains = workload

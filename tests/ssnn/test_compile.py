@@ -1,7 +1,7 @@
 """Tests for the compile-once plan layer (:mod:`repro.ssnn.compile`).
 
-Covers the cache-key scheme (fingerprint sensitivity), the fused compiled
-kernel's bit-identity against the differential harness's pre-compile
+Covers the cache-key scheme (fingerprint sensitivity), the one-matmul
+compiled kernel's bit-identity against the differential harness's pre-compile
 reference kernel, the folded static
 statistics, the disk round trip, and the content-addressed
 :class:`PlanCache` (hit/miss accounting, corruption recovery, clearing,
@@ -29,10 +29,13 @@ from repro.ssnn import (
     plan_network,
     resolve_plan_cache,
 )
-from repro.ssnn.compile import _materialize_layer
+from repro.ssnn.compile import _materialize_layer, spike_rows
 
 CHIP_N = 4
 SC = 8
+
+#: Values outside the 0/1 spike contract every row entry point refuses.
+BAD_SPIKES = (0.5, 2.0, -1.0, float("nan"))
 
 
 def make_workload(
@@ -130,6 +133,30 @@ class TestCompiledKernel:
         with pytest.raises(ConfigurationError):
             compiled.forward_rows(np.zeros((3, network.in_features + 1)))
 
+    @pytest.mark.parametrize("reorder", [True, False])
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_rejects_values_other_than_0_or_1(self, value, reorder):
+        network, trains = make_workload(seed=5)
+        compiled = compile_network(network, CHIP_N, SC, reorder)
+        rows = trains.reshape(-1, network.in_features).copy()
+        rows[2, 1] = value
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            compiled.forward_rows(rows)
+
+    def test_spike_rows_contract(self):
+        rows = np.array([[0.0, 1.0, -0.0], [1.0, 0.0, 1.0]])
+        spikes = spike_rows(rows)
+        assert spikes.dtype == np.bool_
+        assert np.array_equal(spikes, rows)
+        # Integer 0/1 blocks pass too; a bool block passes unscanned.
+        assert np.array_equal(spike_rows(rows.astype(np.int8)), spikes)
+        assert spike_rows(spikes) is spikes
+        out = np.empty(rows.shape, dtype=np.bool_)
+        assert spike_rows(rows, out=out) is out
+        assert np.array_equal(out, spikes)
+        with pytest.raises(ConfigurationError):
+            spike_rows(np.array([["0", "1"]]))
+
     def test_capacity_error_surfaces_at_compile_time(self):
         # Inhibition + threshold exceed the SC chain: the planner's
         # CapacityError must fire during compile, not at inference.
@@ -163,11 +190,14 @@ class TestCompiledKernel:
             assert layer.signed_weights.dtype == np.int8
 
 
-def tamper(cache, fingerprint, kind=PLAN_KIND, **changes):
-    """Re-store an existing entry with some ``meta`` fields changed."""
+def tamper(cache, fingerprint, kind=PLAN_KIND, edit=None, **changes):
+    """Re-store an existing entry with some ``meta`` fields changed;
+    ``edit(arrays)`` may change its arrays in place first."""
     with np.load(cache.path_for(fingerprint, kind)) as data:
         meta = json.loads(str(data["meta"]))
         arrays = {k: data[k] for k in data.files if k != "meta"}
+    if edit is not None:
+        edit(arrays)
     assert cache.store(fingerprint, kind, {**meta, **changes}, arrays)
 
 
@@ -207,9 +237,9 @@ class TestDiskRoundTrip:
         assert not path.exists()
 
     def test_load_rejects_tampered_capacity(self, tmp_path):
-        # The kernel scales by 1 / capacity, exact only for 2 ** sc_per_npe:
-        # an artifact claiming any other capacity is refused, and the
-        # cache recompiles over it.
+        # A plan's capacity is 2 ** sc_per_npe, the bound check_capacity
+        # and the naive path count with: an artifact claiming any other
+        # capacity is refused, and the cache recompiles over it.
         network, _ = make_workload(seed=16)
         cache = PlanCache(root=tmp_path)
         compiled = cache.get_or_compile(network, CHIP_N, SC)
@@ -219,6 +249,29 @@ class TestDiskRoundTrip:
         assert again.capacity == 1 << SC
         assert cache.load(compiled.fingerprint, PLAN_KIND,
                           CompiledNetwork.decode).capacity == 1 << SC
+
+    def test_load_rejects_tampered_threshold(self, tmp_path):
+        # The kernel's answers rest on check_capacity's bound: an entry
+        # whose stored threshold breaks it is refused at load, and the
+        # cache recompiles over it.
+        network, trains = make_workload(seed=17)
+        cache = PlanCache(root=tmp_path)
+        compiled = cache.get_or_compile(network, CHIP_N, SC)
+
+        def past_capacity(arrays):
+            arrays["t0"] = arrays["t0"].copy()
+            arrays["t0"][0] = compiled.capacity + 1
+
+        tamper(cache, compiled.fingerprint, edit=past_capacity)
+        again = cache.get_or_compile(network, CHIP_N, SC)
+        assert cache.misses == 2 and cache.hits == 0
+        rows = trains.reshape(-1, network.in_features)
+        fresh = compile_network(network, CHIP_N, SC)
+        for got, want in zip(again.forward_rows(rows),
+                             fresh.forward_rows(rows)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(again.layers[0].thresholds,
+                              fresh.layers[0].thresholds)
 
     def test_load_rejects_stale_schema(self, tmp_path):
         network, _ = make_workload(seed=9)

@@ -11,10 +11,11 @@ synaptic-operation totals.  This is the satellite acceptance property of
 the compile-once pipeline (see docs/SERVING.md).
 
 A second property draws the network shape itself -- 2 to 4 layers of
-random widths, the SC count, the reorder flag and the row count (0 and 1
-included) -- and holds the plan loaded through a fresh cache, the
-in-memory plan, the pre-compile reference kernel and the guarded
-2-worker pool to the same rows.
+random widths from 1, the SC count, the reorder flag, the row count (0
+and 1 included) and whether an all-zero and an all-one row join the
+block -- and holds the plan loaded through a fresh cache, the in-memory
+plan (fed float64 and ``bool`` rows), the pre-compile reference kernel
+and the guarded 2-worker pool to the same rows.
 """
 
 import tempfile
@@ -111,20 +112,32 @@ def test_cache_round_trip_is_bit_identical(seed, reorder, engine, faulted):
 )
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    sizes=st.lists(st.integers(min_value=2, max_value=12),
+    sizes=st.lists(st.integers(min_value=1, max_value=12),
                    min_size=3, max_size=5),
     sc_per_npe=st.integers(min_value=4, max_value=12),
     reorder=st.booleans(),
     n_rows=st.integers(min_value=0, max_value=24),
+    edge_rows=st.booleans(),
 )
-@example(seed=0, sizes=[5, 3, 2], sc_per_npe=4, reorder=True, n_rows=0)
-@example(seed=1, sizes=[5, 3, 2], sc_per_npe=4, reorder=False, n_rows=1)
+@example(seed=0, sizes=[5, 3, 2], sc_per_npe=4, reorder=True, n_rows=0,
+         edge_rows=False)
+@example(seed=1, sizes=[5, 3, 2], sc_per_npe=4, reorder=False, n_rows=1,
+         edge_rows=False)
+# A 1-wide layer feeding an 8-wide one: redrawing whole layers until no
+# neuron was dead ran out of tries here.
+@example(seed=10, sizes=[1, 1, 8], sc_per_npe=4, reorder=True, n_rows=3,
+         edge_rows=True)
 def test_random_shapes_agree_on_every_path(seed, sizes, sc_per_npe,
-                                           reorder, n_rows):
+                                           reorder, n_rows, edge_rows):
     rng = np.random.default_rng(seed)
     network = random_binarized_network(rng, sizes=sizes,
                                        sc_per_npe=sc_per_npe)
     rows = (rng.random((n_rows, sizes[0])) < 0.4).astype(np.float64)
+    if edge_rows:
+        # An all-one row drives every neuron to its full inhibition: the
+        # edge of the capacity bound the compiled kernel's proof uses.
+        rows = np.vstack([rows, np.zeros((1, sizes[0])),
+                          np.ones((1, sizes[0]))])
     plan = compile_network(network, CHIP_N, sc_per_npe, reorder)
     with tempfile.TemporaryDirectory() as root:
         PlanCache(root=root).get_or_compile(
@@ -140,6 +153,7 @@ def test_random_shapes_agree_on_every_path(seed, sizes, sc_per_npe,
         guard.close()
     want = plan.forward_rows(rows)
     for got in (loaded.forward_rows(rows),
+                plan.forward_rows(rows.astype(bool)),
                 reference_forward_rows(network.layers, rows,
                                        1 << sc_per_npe, reorder),
                 pooled):

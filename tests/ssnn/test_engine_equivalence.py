@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
 from repro.ssnn import SushiRuntime
+from tests.ssnn.test_compile import BAD_SPIKES
 
 SC_PER_NPE = 8
 
@@ -146,6 +147,19 @@ class TestConfigurationErrors:
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             SushiRuntime(max_workers=-1)
+
+    @pytest.mark.parametrize("engine", ["fast", "behavioral"])
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_values_other_than_0_or_1_rejected(self, value, engine):
+        network, spikes = workload(0)
+        bad = spikes.copy()
+        bad[1, 0, 2] = value
+        runtime = SushiRuntime(chip_n=4, sc_per_npe=SC_PER_NPE,
+                               engine=engine)
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            runtime.infer(network, bad)
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            runtime.infer_per_sample(network, bad)
 
     def test_bad_spike_shapes_rejected(self):
         network, spikes = workload(0)

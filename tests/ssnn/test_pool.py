@@ -36,6 +36,7 @@ from repro.ssnn import (
 )
 from repro.ssnn.pool import GuardedPool, _blas_threads
 from tests.serve.test_server import _StubPool
+from tests.ssnn.test_compile import BAD_SPIKES
 
 CHIP_N = 4
 SC = 8
@@ -97,6 +98,17 @@ class BlasThreadsHook:
         )
 
 
+class TaskLog:
+    """Chaos hook recording every task a worker starts as an empty file
+    ``<directory>/job-<job>-shard-<shard>``."""
+
+    def __init__(self, directory: str):
+        self.directory = directory
+
+    def __call__(self, slot, job, epoch, shard, in_name, out_name):
+        Path(self.directory, f"job-{job}-shard-{shard}").touch()
+
+
 class TestShards:
     def test_shards_cover_and_balance(self):
         for n_rows in (0, 1, 2, 7, 16):
@@ -139,6 +151,29 @@ class TestPoolEquivalence:
                 got = pool.infer_rows(rows)
                 assert np.array_equal(got[0], want[0])
                 assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_refuses_values_other_than_0_or_1(self, compiled, value,
+                                              tmp_path):
+        """A bad value is found while the rows are packed, before any
+        task is dispatched: no worker sees the block, nothing is left
+        stale, and the next block is answered as before."""
+        good = rows_for(compiled, 16, seed=7)
+        bad = good.copy()
+        bad[5, 2] = value
+        with InferencePool(compiled, workers=2,
+                           chaos_hook=TaskLog(str(tmp_path))) as pool:
+            assert_forward_equal(pool.infer_rows(good),
+                                 compiled.forward_rows(good))
+            with pytest.raises(ConfigurationError, match="0 or 1"):
+                pool.infer_rows(bad)
+            assert pool.restarts == 0
+            assert pool._stale_tasks == 0
+            after = rows_for(compiled, 16, seed=8)
+            assert_forward_equal(pool.infer_rows(after),
+                                 compiled.forward_rows(after))
+        jobs = {path.name.split("-")[1] for path in tmp_path.iterdir()}
+        assert jobs == {"0", "2"}  # job 1, the bad block, never ran
 
     def test_rejects_bad_row_shapes(self, compiled):
         with InferencePool(compiled, workers=1) as pool:
@@ -505,6 +540,42 @@ class TestGuardedPool:
         assert_forward_equal(guard.forward(large),
                              compiled.forward_rows(large))
         assert stub.calls == 1
+
+    @pytest.mark.parametrize("value", BAD_SPIKES)
+    def test_bad_values_never_reach_a_worker_or_fail_the_pool(
+        self, compiled, value, tmp_path
+    ):
+        """The pool refuses a bad block before dispatching it; the guard
+        counts that as the block's fault, so a closed breaker stays
+        closed and a half-open one resolves its probe instead of
+        waiting on it forever."""
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
+                                 clock=lambda: now[0])
+        guard = GuardedPool(compiled, workers=2, breaker=breaker)
+        guard.pool = InferencePool(compiled, workers=2,
+                                   chaos_hook=TaskLog(str(tmp_path)))
+        try:
+            bad = rows_for(compiled, 6, seed=9)
+            bad[4, 1] = value
+            with pytest.raises(ConfigurationError, match="0 or 1"):
+                guard.forward(bad)
+            assert breaker.state == "closed"
+            breaker.record_failure()  # open; half-open after the cool-down
+            now[0] += 6.0
+            with pytest.raises(ConfigurationError, match="0 or 1"):
+                guard.forward(bad)
+            assert breaker.state == "closed"
+            assert breaker.snapshot().probes == 1
+            good = rows_for(compiled, 6, seed=10)
+            assert_forward_equal(guard.forward(good),
+                                 compiled.forward_rows(good))
+            assert guard.stats()["pool_failures"] == 0
+            assert guard.pool.restarts == 0
+        finally:
+            guard.close()
+        jobs = {path.name.split("-")[1] for path in tmp_path.iterdir()}
+        assert jobs == {"2"}  # jobs 0 and 1, the bad blocks, never ran
 
     def test_small_block_leaves_the_half_open_probe(self, compiled):
         """The row rule is checked before ``allow()``: a small block in
