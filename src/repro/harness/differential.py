@@ -112,8 +112,9 @@ def random_binarized_network(
 
     Weights are drawn from ``[-max_magnitude, max_magnitude]`` (a dead
     neuron's column is re-drawn until it connects); thresholds are
-    drawn so that ``threshold + worst-case inhibition <= 2**sc_per_npe``
-    (the :func:`repro.ssnn.bucketing.required_capacity` bound) *and*
+    drawn so that each layer's largest threshold plus its largest
+    inhibition is at most ``2**sc_per_npe`` (the
+    :func:`repro.ssnn.bucketing.required_capacity` bound) *and*
     ``threshold <= total excitation`` (so neurons are actually reachable
     and the differential exercises both fire and no-fire paths).
     """
@@ -149,6 +150,10 @@ def random_binarized_network(
         thresholds = np.array([
             int(rng.integers(1, int(u) + 1)) for u in upper
         ])
+        # Each threshold fits its own neuron's inhibition; the layer bound
+        # pairs the largest of each, so clip the thresholds of a layer
+        # past it (a no-op for every other layer).
+        thresholds = np.minimum(thresholds, capacity - inhibition.max())
         layers.append(BinarizedLayer(weights, thresholds))
     return BinarizedNetwork(layers)
 

@@ -84,6 +84,10 @@ TRACE_KIND = "rsfq-trace"
 #: name their fingerprint in ``meta`` (the ``PlanCache`` store's rule).
 TRACE_SCHEMA_VERSION = 2
 
+#: Most schedules one :class:`TraceEngine` keeps in memory; the least
+#: recently used goes first and is loaded or recorded anew when asked.
+_SCHEDULE_MEMO = 16
+
 #: One normalised stimulus: ``(cell name, input port, time in ps)``.
 NormStimulus = Tuple[str, str, float]
 
@@ -757,7 +761,8 @@ class EpisodeResult:
 class TraceEngine:
     """Record-once / replay-many executor for one netlist structure.
 
-    Traces are keyed by schedule fingerprint in memory and by
+    Traces are keyed by schedule fingerprint in memory (the
+    :data:`_SCHEDULE_MEMO` most recently used) and by
     ``(netlist, schedule)`` fingerprint in the optional ``cache`` (a
     :class:`~repro.ssnn.compile.PlanCache`, under the
     :data:`TRACE_KIND` namespace).  ``stats`` counts records, replays,
@@ -771,7 +776,7 @@ class TraceEngine:
         self.stats: Dict[str, int] = dict.fromkeys(
             GLOBAL_TRACE_COUNTERS.help, 0
         )
-        self._mem: Dict[str, object] = {}
+        self._mem: "OrderedDict[str, object]" = OrderedDict()
         self._netlist_fp: Optional[str] = None
         self._fp_version: Optional[int] = None
 
@@ -787,14 +792,18 @@ class TraceEngine:
             self._mem.clear()
         return self._netlist_fp
 
+    def _remember(self, sfp: str, entry) -> None:
+        self._mem[sfp] = entry
+        if len(self._mem) > _SCHEDULE_MEMO:
+            self._mem.popitem(last=False)
+
     def _bound(self, segments: Segments, max_events: int,
                allow_record: bool) -> Optional[_BoundTrace]:
         sfp = schedule_fingerprint(segments)
         hit = self._mem.get(sfp)
-        if hit is _UNTRACEABLE:
-            return None
         if hit is not None:
-            return hit
+            self._mem.move_to_end(sfp)
+            return None if hit is _UNTRACEABLE else hit
         tfp = trace_fingerprint(self._fp(), sfp)
         trace = None
         if self.cache is not None:
@@ -807,13 +816,13 @@ class TraceEngine:
                 trace = record_trace(self.netlist, segments,
                                      max_events=max_events)
             except (ConstraintViolationError, ConfigurationError):
-                self._mem[sfp] = _UNTRACEABLE
+                self._remember(sfp, _UNTRACEABLE)
                 return None
             self._bump("records")
             if self.cache is not None:
                 self.cache.store(tfp, TRACE_KIND, *trace.encode())
         bound = _BoundTrace(trace, self.netlist)
-        self._mem[sfp] = bound
+        self._remember(sfp, bound)
         return bound
 
     def _replay_episode(

@@ -165,8 +165,6 @@ class CompiledLayer:
         compute_dtype: float32 when every partial sum of the layer's
             matmul is exactly representable there, float64 otherwise
             (decisions are bit-identical either way; this is pure speed).
-        reference_layer: int64 :class:`BinarizedLayer` view used by the
-            naive-order (``reorder=False``) exact pulse-by-pulse path.
     """
 
     signed_weights: np.ndarray
@@ -177,7 +175,6 @@ class CompiledLayer:
     thresholds_c: np.ndarray
     nnz_per_input: np.ndarray
     compute_dtype: np.dtype
-    reference_layer: BinarizedLayer
 
     @property
     def in_features(self) -> int:
@@ -186,6 +183,12 @@ class CompiledLayer:
     @property
     def out_features(self) -> int:
         return self.signed_weights.shape[1]
+
+    def reference_layer(self) -> BinarizedLayer:
+        """A new int64 :class:`BinarizedLayer` of this layer, for the
+        naive-order (``reorder=False``) pulse-by-pulse path and the
+        capacity check; plans do not carry one."""
+        return BinarizedLayer(self.signed_weights, self.thresholds)
 
 
 def _materialize_layer(
@@ -223,7 +226,6 @@ def _materialize_layer(
         thresholds_c=thresholds64.astype(compute),
         nnz_per_input=(weights64 != 0).sum(axis=1),
         compute_dtype=compute,
-        reference_layer=BinarizedLayer(weights64, thresholds64),
     )
 
 
@@ -344,11 +346,12 @@ class CompiledNetwork:
         spurious = 0
         synops = 0.0
         for layer in self.layers:
+            reference_layer = layer.reference_layer()
             synops += float((current @ layer.nnz_per_input).sum())
             decisions, _ = hardware_layer_outputs(
-                layer.reference_layer, current, self.capacity, reorder=False
+                reference_layer, current, self.capacity, reorder=False
             )
-            reference = layer.reference_layer.forward(current)
+            reference = reference_layer.forward(current)
             spurious += int((decisions != reference).sum())
             current = decisions
         return current, spurious, int(round(synops))
@@ -407,7 +410,7 @@ class CompiledNetwork:
             for i in range(int(meta["n_layers"]))
         )
         for layer in layers:
-            check_capacity(layer.reference_layer, int(meta["sc_per_npe"]))
+            check_capacity(layer.reference_layer(), int(meta["sc_per_npe"]))
         return cls(
             fingerprint=str(meta["fingerprint"]),
             chip_n=int(meta["chip_n"]),

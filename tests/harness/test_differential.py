@@ -19,6 +19,7 @@ from repro.harness.differential import (
 )
 from repro.harness.regression import MetricSnapshot, compare
 from repro.rsfq.faults import FAULT_KINDS, FaultModel
+from repro.ssnn import compile_network
 from repro.ssnn.bucketing import required_capacity
 from repro.ssnn.runtime import RuntimeResult
 
@@ -42,6 +43,36 @@ class TestWorkloadGenerators:
             excitation = np.maximum(layer.signed_weights, 0).sum(axis=0)
             assert (layer.thresholds >= 1).all()
             assert (layer.thresholds <= np.maximum(excitation, 1)).all()
+
+    def test_every_fitting_draw_compiles(self):
+        # 400 seeded shapes: 2-4 layers, widths 1-39, 3-11 SCs.  The
+        # generator refuses a shape it cannot fit with ConfigurationError;
+        # every draw it returns must pass compile's CapacityError check.
+        compiled = 0
+        for seed in range(400):
+            pick = np.random.default_rng(seed)
+            sizes = pick.integers(1, 40, size=pick.integers(3, 6)).tolist()
+            sc_per_npe = int(pick.integers(3, 12))
+            try:
+                network = random_binarized_network(
+                    np.random.default_rng(seed), sizes=sizes,
+                    sc_per_npe=sc_per_npe,
+                )
+            except ConfigurationError:
+                continue
+            compile_network(network, 4, sc_per_npe)
+            compiled += 1
+        assert compiled == 337
+
+    def test_layer_bound_pairs_largest_threshold_and_inhibition(self):
+        # Every threshold fitted its own neuron's inhibition, yet the
+        # largest threshold plus the largest inhibition needed 18 states
+        # where 4 SCs hold 16: compile raised CapacityError.
+        network = random_binarized_network(
+            np.random.default_rng(277), sizes=(21, 31, 10), sc_per_npe=4
+        )
+        assert max(required_capacity(l) for l in network.layers) <= 16
+        compile_network(network, 4, 4)
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

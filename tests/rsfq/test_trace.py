@@ -21,6 +21,7 @@ from repro.rsfq import (
 from repro.rsfq.trace import (
     GLOBAL_TRACE_COUNTERS,
     TRACE_KIND,
+    _SCHEDULE_MEMO,
     CompiledTrace,
     ScheduleRecorder,
     TraceEngine,
@@ -150,6 +151,31 @@ class TestRecordReplay:
         episode = TraceEngine(net_b).run_episode((SEGMENT,), want_trace=True)
         assert episode.mode == "replay"
         assert episode.trace == trace
+
+
+class TestScheduleMemo:
+    def test_memo_keeps_the_most_recent_schedules(self):
+        engine = TraceEngine(build_chain()[0])
+
+        def run(shift):
+            net, probe = build_chain()
+            seg = tuple(("j0", "din", 150.0 * k + shift) for k in range(3))
+            episode = engine.run_episode((seg,), netlist=net)
+            assert episode.mode == "replay"
+            return (episode.events, episode.final_time_ps,
+                    episode.margins, episode.violations, probe.times)
+
+        first = run(0)
+        for shift in range(1, _SCHEDULE_MEMO + 3):
+            run(shift)
+        assert len(engine._mem) == _SCHEDULE_MEMO
+        records = engine.stats["records"]
+        assert records == _SCHEDULE_MEMO + 3
+        run(_SCHEDULE_MEMO + 2)  # kept: replayed without a record
+        assert engine.stats["records"] == records
+        assert run(0) == first  # evicted: recorded anew, bit-identical
+        assert engine.stats["records"] == records + 1
+        assert len(engine._mem) == _SCHEDULE_MEMO
 
 
 class TestFaults:

@@ -11,6 +11,7 @@ covers the store's repair rules for every artifact kind.
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -188,6 +189,18 @@ class TestCompiledKernel:
         compiled = compile_network(network, CHIP_N, SC)
         for layer in compiled.layers:
             assert layer.signed_weights.dtype == np.int8
+
+    def test_serving_plan_pickles_small(self):
+        # Every pool worker receives the plan pickled.  The 784-512-10
+        # serving plan is its float32 compute matrix plus the int8 packed
+        # one (about 2.06 MB); an int64 copy of the weights would add
+        # 3.26 MB.
+        network = random_binarized_network(
+            np.random.default_rng(2024), sizes=(784, 512, 10),
+            sc_per_npe=10,
+        )
+        plan = compile_network(network, 16, 10)
+        assert len(pickle.dumps(plan)) < 2_100_000
 
 
 def tamper(cache, fingerprint, kind=PLAN_KIND, edit=None, **changes):
