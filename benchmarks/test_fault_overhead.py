@@ -59,7 +59,7 @@ class TestStructuralGuard:
             assert sim._fault_runtime is None
             assert sim._cells_view is sim._fanout.cell_list
             assert sim._ports_view is sim._fanout.input_ports
-            assert sim.deliver.__func__ is Simulator._deliver_ideal_heap
+            assert sim.deliver.__func__ is Simulator._deliver_ideal
             assert type(sim.queue) is EventQueue
 
     def test_active_model_is_the_only_slow_binding(self):

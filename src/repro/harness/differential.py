@@ -577,7 +577,7 @@ def run_traced_gate_differential(
     scheduled stimulus -- then replays the captured
     schedule through :class:`~repro.rsfq.trace.TraceEngine` on a second
     fresh chip and compares the physics bit-for-bit: per-channel pulse
-    times, violation counts, margin tables, per-column fire times, final
+    times, violations, margin tables, per-column fire times, final
     simulation time, event counts and, under ``faults`` (a
     :class:`~repro.rsfq.faults.FaultModel` attached to both runs), the
     canonical injection logs.
@@ -585,8 +585,8 @@ def run_traced_gate_differential(
     A faulted or divergent run may report ``traced_mode == "fallback"``
     (the trace engine re-executed it on the event loop); the physics must
     still match.  Returns the per-aspect ``traced_*_equal`` verdicts plus
-    ``equivalent`` (all of them), ``events``, ``injections``,
-    ``traced_mode`` and ``traced_events``.
+    ``equivalent`` (all of them), ``events``, ``violations``,
+    ``injections``, ``traced_mode`` and ``traced_events``.
     """
     from repro.neuro.chip import ChipConfig, ChipDriver, GateLevelChip
     from repro.neuro.state_controller import Polarity
@@ -632,6 +632,7 @@ def run_traced_gate_differential(
     channels = set(trace.channels()) | set(t_trace.channels())
     verdict = {
         "events": sim.events_processed,
+        "violations": len(sim.violations),
         "injections": sum(sim.fault_counts().values()),
         "traced_mode": episode.mode,
         "traced_events": episode.events,
@@ -639,9 +640,7 @@ def run_traced_gate_differential(
             trace.times(*channel) == t_trace.times(*channel)
             for channel in channels
         ),
-        "traced_violations_equal": (
-            len(sim.violations) == len(episode.violations)
-        ),
+        "traced_violations_equal": sim.violations == episode.violations,
         "traced_margins_equal": dict(sim.margins) == episode.margins,
         "traced_fires_equal": (
             fires == [list(chip_t.fire_times(j)) for j in range(n)]

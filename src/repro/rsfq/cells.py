@@ -71,7 +71,8 @@ class Cell:
     groups the constraint families by *arriving* port so the hot path
     checks only the rules that can fire for the current pulse instead of
     scanning the whole table (a CB3 has 9 families but at most 3 per
-    port).
+    port).  Each rule carries its margin key ``(class name, port_a,
+    port_b)``, so a checked arrival builds no tuple.
     """
 
     __slots__ = ("name", "_last_arrival", "switch_count")
@@ -79,8 +80,9 @@ class Cell:
     INPUTS: Tuple[str, ...] = ()
     OUTPUTS: Tuple[str, ...] = ()
     CONSTRAINTS: Mapping[Tuple[str, str], float] = {}
-    #: Arriving port -> ((port_a, min_lag), ...); derived, do not set.
-    CONSTRAINTS_BY_PORT: Mapping[str, Tuple[Tuple[str, float], ...]] = {}
+    #: Arriving port -> ((port_a, min_lag, margin_key), ...); derived, do
+    #: not set.
+    CONSTRAINTS_BY_PORT: Mapping[str, Tuple[tuple, ...]] = {}
 
     JJ_COUNT: int = 0
     AREA_UM2: float = 0.0
@@ -91,7 +93,9 @@ class Cell:
         super().__init_subclass__(**kwargs)
         by_port: Dict[str, list] = {}
         for (port_a, port_b), min_lag in cls.CONSTRAINTS.items():
-            by_port.setdefault(port_b, []).append((port_a, min_lag))
+            by_port.setdefault(port_b, []).append(
+                (port_a, min_lag, (cls.__name__, port_a, port_b))
+            )
         cls.CONSTRAINTS_BY_PORT = {
             port: tuple(rules) for port, rules in by_port.items()
         }
@@ -109,10 +113,11 @@ class Cell:
     def receive(self, port: str, time: float, sim: "Simulator") -> None:
         """Process a pulse arrival: check constraints, then dispatch.
 
-        The constraint loop is inlined (rather than delegated to
-        :meth:`_check_rules`) because ``receive`` runs once per event:
-        one saved method call per event is a measurable slice of the
-        per-event constant factor on gate-level workloads.
+        The constraint and margin loop is inlined here (margins follow
+        :meth:`~repro.rsfq.simulator.Simulator.record_margin`) because
+        ``receive`` runs once per event: one saved method call per event
+        is a measurable slice of the per-event constant factor on
+        gate-level workloads.
         """
         if port not in self.INPUTS:
             raise ConfigurationError(
@@ -123,13 +128,11 @@ class Cell:
         rules = self.CONSTRAINTS_BY_PORT.get(port)
         if rules is not None:
             margins = sim.margins
-            cell_type = type(self).__name__
-            for port_a, min_lag in rules:
+            for port_a, min_lag, key in rules:
                 last = last_arrival.get(port_a)
                 if last is None:
                     continue
                 actual = time - last
-                key = (cell_type, port_a, port)
                 current = margins.get(key)
                 if current is None or actual < current[1]:
                     margins[key] = (min_lag, actual)
@@ -137,7 +140,7 @@ class Cell:
                     sim.report_violation(
                         Violation(
                             component=self.name,
-                            cell_type=cell_type,
+                            cell_type=key[0],
                             port_a=port_a,
                             port_b=port,
                             required=min_lag,
@@ -154,7 +157,9 @@ class Cell:
         raise NotImplementedError
 
     def emit(self, port: str, time: float, sim: "Simulator") -> None:
-        """Send a pulse out of ``port`` at ``time`` (plus wire delays)."""
+        """Send a pulse out of ``port`` at ``time`` (plus wire delays),
+        checking the port name.  Library cells, whose output port is
+        fixed, call ``sim.deliver`` directly instead."""
         if port not in self.OUTPUTS:
             raise ConfigurationError(
                 f"cell '{self.name}' ({type(self).__name__}) has no output "
@@ -181,49 +186,6 @@ class Cell:
         Returns True when the cell had state to corrupt.
         """
         return False
-
-    # -- constraint checking ---------------------------------------------
-
-    def _check_rules(self, rules, port: str, time: float,
-                     sim: "Simulator") -> None:
-        """Check the pre-filtered ``(port_a, min_lag)`` rules for ``port``.
-
-        Margin tracking is inlined (same semantics as
-        :meth:`~repro.rsfq.simulator.Simulator.record_margin`, which stays
-        the public API) -- this method runs once per checked arrival, so
-        the method-call overhead is measurable on Fig. 19/20 workloads.
-        """
-        last_arrival = self._last_arrival
-        margins = sim.margins
-        cell_type = type(self).__name__
-        for port_a, min_lag in rules:
-            last = last_arrival.get(port_a)
-            if last is None:
-                continue
-            actual = time - last
-            key = (cell_type, port_a, port)
-            current = margins.get(key)
-            if current is None or actual < current[1]:
-                margins[key] = (min_lag, actual)
-            if actual + INTERVAL_EPSILON < min_lag:
-                sim.report_violation(
-                    Violation(
-                        component=self.name,
-                        cell_type=type(self).__name__,
-                        port_a=port_a,
-                        port_b=port,
-                        required=min_lag,
-                        actual=actual,
-                        time=time,
-                    )
-                )
-
-    def _check_constraints(self, port: str, time: float, sim: "Simulator") -> None:
-        """Check every constraint family targeting ``port`` (compat shim
-        over the per-port table used by the hot path)."""
-        rules = self.CONSTRAINTS_BY_PORT.get(port)
-        if rules is not None:
-            self._check_rules(rules, port, time, sim)
 
     def last_arrival(self, port: str) -> Optional[float]:
         """Time of the most recent pulse on ``port``, or None."""

@@ -43,7 +43,6 @@ class JTL(Cell):
     STATIC_POWER_NW = 77.0
 
     def on_pulse(self, port, time, sim):
-        # Hot path: "dout" is statically valid, skip emit()'s validation.
         sim.deliver(self, "dout", time + self.DELAY_PS)
 
 
@@ -161,7 +160,7 @@ class DFF(Cell):
             self.stored = True
         elif port == "clk" and self.stored:
             self.stored = False
-            self.emit("dout", time + self.DELAY_PS, sim)
+            sim.deliver(self, "dout", time + self.DELAY_PS)
 
     def reset_state(self):
         super().reset_state()
@@ -208,7 +207,7 @@ class NDRO(Cell):
         elif port == "rst":
             self.stored = False
         elif port == "clk" and self.stored:
-            self.emit("dout", time + self.DELAY_PS, sim)
+            sim.deliver(self, "dout", time + self.DELAY_PS)
 
     def reset_state(self):
         super().reset_state()
@@ -242,7 +241,7 @@ class _TFFBase(Cell):
     def on_pulse(self, port, time, sim):
         self.state = not self.state
         if self.state == self.EMIT_ON_STATE:
-            self.emit("dout", time + self.DELAY_PS, sim)
+            sim.deliver(self, "dout", time + self.DELAY_PS)
 
     def reset_state(self):
         super().reset_state()
@@ -284,7 +283,7 @@ class DCSFQ(Cell):
     STATIC_POWER_NW = 200.0
 
     def on_pulse(self, port, time, sim):
-        self.emit("dout", time + self.DELAY_PS, sim)
+        sim.deliver(self, "dout", time + self.DELAY_PS)
 
 
 class SFQDC(Cell):
@@ -306,7 +305,7 @@ class SFQDC(Cell):
     STATIC_POWER_NW = 1480.0
 
     def on_pulse(self, port, time, sim):
-        self.emit("dout", time + self.DELAY_PS, sim)
+        sim.deliver(self, "dout", time + self.DELAY_PS)
 
 
 class Probe(Cell):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import random
 import time as _time
 from heapq import heappop, heappush
+from math import cos as _cos, log as _log, pi as _pi, sin as _sin, \
+    sqrt as _sqrt
 from typing import List, Optional, Union
 
 from repro.errors import (
@@ -38,6 +40,8 @@ from repro.rsfq.events import EventQueue
 from repro.rsfq.faults import FaultModel, canonical_log
 from repro.rsfq.netlist import Netlist
 from repro.rsfq.waveform import PulseTrace
+
+_TWOPI = 2.0 * _pi
 
 
 def wire_jitter_rng(seed, wire_key: str) -> random.Random:
@@ -168,20 +172,11 @@ class Simulator:
         zero-fault configurations below are untouched, so attaching
         ``faults=None`` (or an empty model) keeps the allocation-free fast
         path byte-for-byte.
-
-        When the instance has not overridden ``_deliver_ideal`` (the trace
-        layer's recording simulator does, to log causal edges), the ideal
-        variant is further specialised to push entries straight onto the
-        underlying heap, skipping the queue's Python-level ``push``
-        wrapper.
         """
         if self._fault_runtime is not None:
             self.deliver = self._deliver_faulty
         elif self.jitter_ps <= 0.0:
-            if type(self)._deliver_ideal is Simulator._deliver_ideal:
-                self.deliver = self._deliver_ideal_heap
-            else:
-                self.deliver = self._deliver_ideal
+            self.deliver = self._deliver_ideal
         else:
             self.deliver = self._deliver_jitter_wire
 
@@ -233,18 +228,11 @@ class Simulator:
     # -- delivery variants (bound to ``deliver`` at construction) ----------
 
     def _deliver_ideal(self, cell: Cell, port: str, time: float) -> None:
-        """Propagate an output pulse along the port's wire (no jitter)."""
-        routes = self._fanout.routes_idx.get((cell.name, port))
-        if not routes:
-            return
-        push = self.queue.push
-        for dst_idx, dst_port_idx, delay, _wid in routes:
-            push(time + delay, dst_idx, dst_port_idx)
+        """Propagate an output pulse along the port's wire (no jitter).
 
-    def _deliver_ideal_heap(self, cell: Cell, port: str, time: float) -> None:
-        """:meth:`_deliver_ideal` specialised for the stock heap backend:
-        entries go straight onto the underlying heap (same tuples, same
-        sequence numbering, no ``push`` wrapper call per pulse)."""
+        Entries go straight onto the queue's heap (the tuples and sequence
+        numbering of :meth:`EventQueue.push`, without a wrapper call per
+        pulse)."""
         routes = self._fanout.routes_idx.get((cell.name, port))
         if not routes:
             return
@@ -258,24 +246,45 @@ class Simulator:
 
     def _deliver_jitter_wire(self, cell: Cell, port: str, time: float) -> None:
         """Jittered delivery drawing from per-wire streams (stable under
-        any event interleaving; see :func:`wire_jitter_rng`)."""
+        any event interleaving; see :func:`wire_jitter_rng`).
+
+        Pushes onto the heap as :meth:`_deliver_ideal` does, and takes
+        each wire's ``gauss(0.0, sigma)`` draw in place: the same
+        Box-Muller arithmetic over two ``random()`` calls, with the
+        pair's second value cached in the stream's ``gauss_next``.
+        (``gauss`` returns ``0.0 + z * sigma``, which differs from
+        ``z * sigma`` only in the sign of a zero; adding the delay erases
+        that.)
+        """
         routes = self._fanout.routes_idx.get((cell.name, port))
         if not routes:
             return
-        push = self.queue.push
+        queue = self.queue
+        heap = queue._heap
+        seq = queue._seq
         sigma = self.jitter_ps
         rngs = self._wire_rngs
-        fanout = self._fanout
         for dst_idx, dst_port_idx, delay, wid in routes:
             rng = rngs.get(wid)
             if rng is None:
                 rng = rngs[wid] = wire_jitter_rng(
-                    self._seed, fanout.wire_key(wid)
+                    self._seed, self._fanout.wire_key(wid)
                 )
-            jittered = delay + rng.gauss(0.0, sigma)
+            z = rng.gauss_next
+            if z is None:
+                uniform = rng.random
+                x2pi = uniform() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            else:
+                rng.gauss_next = None
+            jittered = delay + z * sigma
             if jittered < 0.0:
                 jittered = 0.0
-            push(time + jittered, dst_idx, dst_port_idx)
+            heappush(heap, (time + jittered, seq, dst_idx, dst_port_idx))
+            seq += 1
+        queue._seq = seq
 
     def _deliver_faulty(self, cell: Cell, port: str, time: float) -> None:
         """Delivery under an active fault model (bound when ``faults`` has

@@ -560,12 +560,10 @@ class _BoundTrace:
             rules = cell.CONSTRAINTS_BY_PORT.get(port)
             arrivals = last[c]
             if rules is not None:
-                cell_type = type(cell).__name__
-                for port_a, min_lag in rules:
+                for port_a, min_lag, key in rules:
                     j = arrivals.get(port_a)
                     if j is None:
                         continue
-                    key = (cell_type, port_a, port)
                     fi = fam_index.get(key)
                     if fi is None:
                         fi = fam_index[key] = len(fam_keys)

@@ -273,6 +273,16 @@ class TestTracedGateDifferential:
         assert verdict["equivalent"], verdict
         assert verdict["traced_mode"] == "replay"
 
+    def test_violating_jitter_replays_bit_identical(self):
+        # 3 ps is the gate-montecarlo sigma; over 16 passes it breaks a
+        # timing window, and the replay must report the same violation.
+        verdict = run_traced_gate_differential(
+            seed=0, jitter_ps=3.0, passes=16
+        )
+        assert verdict["equivalent"], verdict
+        assert verdict["traced_mode"] == "replay"
+        assert verdict["violations"] > 0
+
     def test_faulted_workload_falls_back_bit_identical(self):
         model = FaultModel.single("pulse_drop", probability=1.0, seed=9)
         verdict = run_traced_gate_differential(seed=3, faults=model)

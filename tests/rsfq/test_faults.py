@@ -102,7 +102,7 @@ class TestModelComposition:
             sim = Simulator(net, faults=faults)
             assert sim._fault_runtime is None
             assert sim._cells_view is sim._fanout.cell_list
-            assert sim.deliver == sim._deliver_ideal_heap
+            assert sim.deliver == sim._deliver_ideal
             assert sim.injection_log() == ()
             assert sim.fault_counts() == {}
 

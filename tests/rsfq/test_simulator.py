@@ -1,9 +1,12 @@
 """Tests for the discrete-event engine, netlist rules and constraint modes."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, ConstraintViolationError
 from repro.rsfq import Netlist, PulseTrace, Simulator, library
+from repro.rsfq.events import EventQueue
 
 
 def chain_netlist(n_jtl=3, delay=1.0):
@@ -307,3 +310,78 @@ class TestMaxEventsGuard:
             with pytest.raises(ConfigurationError):
                 sim.run(max_events=50, **kwargs)
             assert sim.events_processed == 50
+
+
+class TestWireJitterStream:
+    """The k-th pulse on a wire is delayed by the wire's delay plus the
+    k-th ``gauss(0.0, sigma)`` draw of
+    ``random.Random(f"{seed!r}|{wire_key}")``, clamped at 0.  The
+    expectations below are computed from that definition alone, not from
+    the engine, so they pin the stream however the engine takes its
+    draws."""
+
+    N_JTL = 2
+    DELAY_PS = 5.0
+    SPACING_PS = 1000.0
+    SEEDS = [None, 11, "trial-4"]
+    #: Large enough next to DELAY_PS that some draws reach the clamp.
+    CLAMP_SIGMA_PS = 40.0
+
+    def expected_arrivals(self, seed, sigma, pulses):
+        """Per hop, the arrival times at the chain's next cell, and how
+        many jittered delays were clamped at 0."""
+        names = [f"j{i}" for i in range(self.N_JTL)] + ["p"]
+        emitted = [
+            self.SPACING_PS * k + library.JTL.DELAY_PS for k in range(pulses)
+        ]
+        arrivals, clamps = {}, 0
+        for wire_id, (src, dst) in enumerate(zip(names, names[1:])):
+            stream = random.Random(f"{seed!r}|{src}.dout->{dst}.din#{wire_id}")
+            times = []
+            for t in emitted:
+                jittered = self.DELAY_PS + stream.gauss(0.0, sigma)
+                if jittered < 0.0:
+                    jittered = 0.0
+                    clamps += 1
+                times.append(t + jittered)
+            arrivals[dst] = times
+            emitted = [t + library.JTL.DELAY_PS for t in times]
+        return arrivals, clamps
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("pulses", [1, 2, 5, 6])
+    @pytest.mark.parametrize("sigma", [0.5, CLAMP_SIGMA_PS])
+    def test_every_arrival_matches_the_wire_stream(self, sigma, pulses, seed):
+        net, cells, probe = chain_netlist(n_jtl=self.N_JTL,
+                                          delay=self.DELAY_PS)
+        trace = PulseTrace()
+        sim = Simulator(net, trace=trace, jitter_ps=sigma, seed=seed)
+        inputs = [self.SPACING_PS * k for k in range(pulses)]
+        # Two runs: a wire's stream carries on across ``run`` calls.
+        for batch in (inputs[:pulses // 2], inputs[pulses // 2:]):
+            for t in batch:
+                sim.schedule_input(cells[0], "din", t)
+            sim.run()
+        expected, _ = self.expected_arrivals(seed, sigma, pulses)
+        for dst, times in expected.items():
+            assert trace.times(dst, "din") == times
+        assert probe.times == expected["p"]
+
+    def test_large_sigma_reaches_the_clamp(self):
+        for seed in self.SEEDS:
+            _, clamps = self.expected_arrivals(seed, self.CLAMP_SIGMA_PS, 6)
+            assert clamps > 0, seed
+
+    @pytest.mark.parametrize("jitter_ps", [0.0, 0.5])
+    def test_delivery_bypasses_queue_push(self, monkeypatch, jitter_ps):
+        net, cells, probe = chain_netlist(n_jtl=3, delay=5.0)
+        sim = Simulator(net, jitter_ps=jitter_ps, seed=1)
+        for k in range(3):
+            sim.schedule_input(cells[0], "din", self.SPACING_PS * k)
+
+        def refuse(*args):
+            raise AssertionError("a delivery called EventQueue.push")
+
+        monkeypatch.setattr(EventQueue, "push", refuse)
+        sim.run()
+        assert len(probe.times) == 3
