@@ -21,7 +21,7 @@ Two field classes live in the JSON (the repo-wide convention):
   warm-over-cold speedup.  The enforced ">= 3x" gate lives in
   ``test_explore_speedup.py`` where both sweeps run back-to-back.
 
-Usage::
+Usage (the shared command line of :mod:`repro.harness.regression`)::
 
     PYTHONPATH=src python benchmarks/bench_explore.py --write
     PYTHONPATH=src python benchmarks/bench_explore.py --check
@@ -29,7 +29,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
@@ -46,10 +45,10 @@ from repro.explore import (  # noqa: E402
     pinned_view,
     run_explore,
 )
+from repro.harness.regression import main  # noqa: E402
 from repro.ssnn import PlanCache  # noqa: E402
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_explore.json"
-SCHEMA_VERSION = 1
 WORKERS = 2
 
 
@@ -80,8 +79,7 @@ def measure() -> dict:
     points_total = cold_report["counters"]["points_total"]
     warm_hits = warm_counts["point_cache_hits"]
     canonical = json.dumps(pinned_view(cold_report), sort_keys=True)
-    return {
-        "version": SCHEMA_VERSION,
+    return {REPORT_PATH: {
         "note": ("counts/pareto/fingerprint/digest/hit-rate/equality "
                  "fields are pinned by --check; wall-clock numbers are "
                  "informational (the >=3x gate is "
@@ -119,7 +117,7 @@ def measure() -> dict:
             "cold_parallel_s": round(t_par, 4),
             "warm_speedup": round(t_cold / max(t_warm, 1e-9), 2),
         },
-    }
+    }}
 
 
 def _pinned_view(report: dict) -> dict:
@@ -134,65 +132,7 @@ def _pinned_view(report: dict) -> dict:
     return view
 
 
-def write(path: Path = REPORT_PATH) -> dict:
-    report = measure()
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return report
-
-
-def check(path: Path = REPORT_PATH) -> int:
-    if not path.exists():
-        print(f"missing baseline {path}; run with --write first",
-              file=sys.stderr)
-        return 2
-    baseline = json.loads(path.read_text())
-    if baseline.get("version") != SCHEMA_VERSION:
-        print(f"baseline schema {baseline.get('version')} != "
-              f"{SCHEMA_VERSION}; regenerate with --write",
-              file=sys.stderr)
-        return 2
-    expected = _pinned_view(baseline)
-    actual = _pinned_view(measure())
-    drift = {
-        key: (expected.get(key), actual.get(key))
-        for key in sorted(set(expected) | set(actual))
-        if expected.get(key) != actual.get(key)
-    }
-    if drift:
-        print("explorer drift against BENCH_explore.json:",
-              file=sys.stderr)
-        for key, (want, got) in drift.items():
-            print(f"  {key}: baseline={want} measured={got}",
-                  file=sys.stderr)
-        print("(if the change is intentional, regenerate the baseline "
-              "with --write)", file=sys.stderr)
-        return 1
-    print(f"explore perf smoke OK: {len(expected)} pinned fields match "
-          f"{path.name}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (re)write the baseline JSON")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on pinned-field drift")
-    args = parser.parse_args(argv)
-    if args.write:
-        report = write()
-        print(
-            f"  {report['sweep']['points_total']} points "
-            f"({report['sweep']['points_infeasible']} infeasible), "
-            f"warm hit rate "
-            f"{report['memoization']['warm_hit_rate']}, warm speedup "
-            f"{report['timing']['warm_speedup']}x"
-        )
-        return 0
-    return check()
-
+VIEWS = {REPORT_PATH: _pinned_view}
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(VIEWS, measure))

@@ -19,7 +19,7 @@ outputs the same way ``bench_report.py`` pins events-processed counts:
   and the measured zero-fault overhead ratio (the structural <3% guard
   lives in ``benchmarks/test_fault_overhead.py``).
 
-Usage::
+Usage (the shared command line of :mod:`repro.harness.regression`)::
 
     PYTHONPATH=src python benchmarks/bench_faults.py --write   # new baseline
     PYTHONPATH=src python benchmarks/bench_faults.py --check   # CI drift gate
@@ -27,8 +27,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -45,11 +43,11 @@ from repro.harness.differential import (  # noqa: E402
     random_binarized_network,
     random_spike_trains,
 )
+from repro.harness.regression import main  # noqa: E402
 from repro.rsfq.faults import FaultModel  # noqa: E402
 from repro.ssnn import RetryPolicy, SushiRuntime  # noqa: E402
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_faults.json"
-SCHEMA_VERSION = 1
 
 #: Per-point fields that must not drift between runs.
 PINNED_POINT_FIELDS = (
@@ -156,14 +154,13 @@ def measure_zero_fault_overhead(repeats: int = 5) -> dict:
 
 
 def measure() -> dict:
-    return {
-        "version": SCHEMA_VERSION,
+    return {REPORT_PATH: {
         "note": ("campaign points and self-healing outcomes are pinned "
                  "by --check; wall-clock numbers are informational"),
         "campaign": run_campaign(),
         "self_healing": run_self_healing(),
         "zero_fault_overhead": measure_zero_fault_overhead(),
-    }
+    }}
 
 
 def _pinned_view(report: dict) -> dict:
@@ -177,61 +174,7 @@ def _pinned_view(report: dict) -> dict:
     return view
 
 
-def write(path: Path = REPORT_PATH) -> dict:
-    report = measure()
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return report
-
-
-def check(path: Path = REPORT_PATH) -> int:
-    if not path.exists():
-        print(f"missing baseline {path}; run with --write first",
-              file=sys.stderr)
-        return 2
-    baseline = json.loads(path.read_text())
-    if baseline.get("version") != SCHEMA_VERSION:
-        print(f"baseline schema {baseline.get('version')} != "
-              f"{SCHEMA_VERSION}; regenerate with --write", file=sys.stderr)
-        return 2
-    expected = _pinned_view(baseline)
-    actual = _pinned_view(measure())
-    drift = {
-        key: (expected.get(key), actual.get(key))
-        for key in sorted(set(expected) | set(actual))
-        if expected.get(key) != actual.get(key)
-    }
-    if drift:
-        print("resilience drift against BENCH_faults.json:",
-              file=sys.stderr)
-        for key, (want, got) in drift.items():
-            print(f"  {key}: baseline={want} measured={got}",
-                  file=sys.stderr)
-        print("(if the change is intentional, regenerate the baseline "
-              "with --write)", file=sys.stderr)
-        return 1
-    print(f"resilience smoke OK: {len(expected)} pinned counters match "
-          f"{path.name}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (re)write the baseline JSON")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on pinned-counter drift")
-    args = parser.parse_args(argv)
-    if args.write:
-        report = write()
-        ratio = report["zero_fault_overhead"]["overhead_ratio"]
-        print(f"  zero-fault overhead ratio = {ratio}x")
-        print(f"  self-healing: {report['self_healing']['attempts']} "
-              f"attempts, degraded={report['self_healing']['degraded']}")
-        return 0
-    return check()
-
+VIEWS = {REPORT_PATH: _pinned_view}
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(VIEWS, measure))

@@ -18,7 +18,7 @@ ephemeral port -- and pins the deterministic outcomes the way
   latency, max latency, and throughput (req/s) per scenario -- wall
   clock is machine-dependent and is never a gate.
 
-Usage::
+Usage (the shared command line of :mod:`repro.harness.regression`)::
 
     PYTHONPATH=src python benchmarks/bench_gateway.py --write  # baseline
     PYTHONPATH=src python benchmarks/bench_gateway.py --check  # CI gate
@@ -26,17 +26,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.gateway.loadgen import run_loadtest  # noqa: E402
+from repro.gateway.loadgen import format_report, run_loadtest  # noqa: E402
+from repro.harness.regression import main  # noqa: E402
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_gateway.json"
-SCHEMA_VERSION = 1
 
 #: Scenario fields that must exist in every entry (schema guard; their
 #: *values* are informational except the ones re-pinned below).
@@ -49,6 +47,7 @@ REQUIRED_SCENARIO_FIELDS = (
 
 def measure() -> dict:
     campaign = run_loadtest(quick=True)
+    print(format_report(campaign))
     if not campaign["passed"]:
         failing = [s["name"] for s in campaign["scenarios"]
                    if not s["passed"]]
@@ -56,13 +55,12 @@ def measure() -> dict:
             f"load scenarios missed their deterministic status "
             f"expectations: {failing}"
         )
-    return {
-        "version": SCHEMA_VERSION,
+    return {REPORT_PATH: {
         "note": ("status/rejection counts, verdicts, totals and the "
                  "plan fingerprint are pinned by --check; p50/p99 "
                  "latency and throughput are informational"),
         "campaign": campaign,
-    }
+    }}
 
 
 def _pinned_view(report: dict) -> dict:
@@ -92,61 +90,7 @@ def _pinned_view(report: dict) -> dict:
     return view
 
 
-def write(path: Path = REPORT_PATH) -> dict:
-    report = measure()
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return report
-
-
-def check(path: Path = REPORT_PATH) -> int:
-    if not path.exists():
-        print(f"missing baseline {path}; run with --write first",
-              file=sys.stderr)
-        return 2
-    baseline = json.loads(path.read_text())
-    if baseline.get("version") != SCHEMA_VERSION:
-        print(f"baseline schema {baseline.get('version')} != "
-              f"{SCHEMA_VERSION}; regenerate with --write", file=sys.stderr)
-        return 2
-    expected = _pinned_view(baseline)
-    actual = _pinned_view(measure())
-    drift = {
-        key: (expected.get(key), actual.get(key))
-        for key in sorted(set(expected) | set(actual))
-        if expected.get(key) != actual.get(key)
-    }
-    if drift:
-        print("gateway drift against BENCH_gateway.json:", file=sys.stderr)
-        for key, (want, got) in drift.items():
-            print(f"  {key}: baseline={want} measured={got}",
-                  file=sys.stderr)
-        print("(if the change is intentional, regenerate the baseline "
-              "with --write)", file=sys.stderr)
-        return 1
-    print(f"gateway smoke OK: {len(expected)} pinned fields match "
-          f"{path.name}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (re)write the baseline JSON")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on pinned-field drift")
-    args = parser.parse_args(argv)
-    if args.write:
-        report = write()
-        for entry in report["campaign"]["scenarios"]:
-            print(f"  {entry['name']}: {entry['statuses']} "
-                  f"p50={entry['latency_ms_p50']}ms "
-                  f"p99={entry['latency_ms_p99']}ms "
-                  f"{entry['throughput_rps']} req/s")
-        return 0
-    return check()
-
+VIEWS = {REPORT_PATH: _pinned_view}
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(VIEWS, measure))

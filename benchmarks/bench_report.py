@@ -17,7 +17,7 @@ Two fields classes live in the JSON:
   sequential fast path" gate lives in ``test_simulator_speedup.py``,
   where it runs both engines back-to-back on the same interpreter.
 
-Usage::
+Usage (the shared command line of :mod:`repro.harness.regression`)::
 
     PYTHONPATH=src python benchmarks/bench_report.py --write   # new baseline
     PYTHONPATH=src python benchmarks/bench_report.py --check   # CI drift gate
@@ -25,8 +25,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -38,9 +36,9 @@ from legacy_engine import (  # noqa: E402
     run_chip_workload,
     run_trace_replay_workload,
 )
+from repro.harness.regression import main  # noqa: E402
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_simulator.json"
-SCHEMA_VERSION = 1
 
 #: Fields that must not drift between runs (deterministic engine outputs).
 PINNED_FIELDS = ("events", "violations", "replays", "fallbacks",
@@ -48,7 +46,8 @@ PINNED_FIELDS = ("events", "violations", "replays", "fallbacks",
 
 
 def measure() -> dict:
-    """Run every workload on every engine and assemble the report."""
+    """Run every workload on every engine: the ``BENCH_simulator.json``
+    report."""
     chain_legacy = run_chain_workload("legacy")
     chain_fast = run_chain_workload("fast")
 
@@ -66,8 +65,7 @@ def measure() -> dict:
             "events_per_sec": round(result.events_per_sec, 1),
         }
 
-    return {
-        "version": SCHEMA_VERSION,
+    return {REPORT_PATH: {
         "note": ("events/violations are pinned by --check; "
                  "wall-clock numbers are informational"),
         "workloads": {
@@ -95,7 +93,7 @@ def measure() -> dict:
                 "traced": run_trace_replay_workload(),
             },
         },
-    }
+    }}
 
 
 def _pinned_view(report: dict) -> dict:
@@ -111,60 +109,7 @@ def _pinned_view(report: dict) -> dict:
     return view
 
 
-def write(path: Path = REPORT_PATH) -> dict:
-    report = measure()
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return report
-
-
-def check(path: Path = REPORT_PATH) -> int:
-    if not path.exists():
-        print(f"missing baseline {path}; run with --write first",
-              file=sys.stderr)
-        return 2
-    baseline = json.loads(path.read_text())
-    if baseline.get("version") != SCHEMA_VERSION:
-        print(f"baseline schema {baseline.get('version')} != "
-              f"{SCHEMA_VERSION}; regenerate with --write", file=sys.stderr)
-        return 2
-    expected = _pinned_view(baseline)
-    actual = _pinned_view(measure())
-    drift = {
-        key: (expected.get(key), actual.get(key))
-        for key in sorted(set(expected) | set(actual))
-        if expected.get(key) != actual.get(key)
-    }
-    if drift:
-        print("events-processed drift against BENCH_simulator.json:",
-              file=sys.stderr)
-        for key, (want, got) in drift.items():
-            print(f"  {key}: baseline={want} measured={got}",
-                  file=sys.stderr)
-        print("(if the change is intentional, regenerate the baseline "
-              "with --write)", file=sys.stderr)
-        return 1
-    print(f"perf smoke OK: {len(expected)} pinned counters match "
-          f"{path.name}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (re)write the baseline JSON")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on pinned-counter drift")
-    args = parser.parse_args(argv)
-    if args.write:
-        report = write()
-        for wname, workload in report["workloads"].items():
-            speed = workload.get("speedup_fast_over_legacy")
-            print(f"  {wname}: fast/legacy speedup = {speed}x")
-        return 0
-    return check()
-
+VIEWS = {REPORT_PATH: _pinned_view}
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(VIEWS, measure))

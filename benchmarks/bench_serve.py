@@ -20,7 +20,7 @@ Two field classes live in the JSON:
   ``test_serve_speedup.py``, where both engines run back-to-back on the
   same interpreter.
 
-Usage::
+Usage (the shared command line of :mod:`repro.harness.regression`)::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --write   # new baseline
     PYTHONPATH=src python benchmarks/bench_serve.py --check   # CI drift gate
@@ -28,9 +28,7 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import sys
 import tempfile
 import time
@@ -46,6 +44,7 @@ from legacy_runtime import (  # noqa: E402
     legacy_parallel_rows,
     make_serving_workload,
 )
+from repro.harness.regression import main  # noqa: E402
 from repro.ssnn import (  # noqa: E402
     InferencePool,
     PlanCache,
@@ -54,7 +53,6 @@ from repro.ssnn import (  # noqa: E402
 )
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_serve.json"
-SCHEMA_VERSION = 1
 CHIP_N = 16
 SC_PER_NPE = 10
 WORKERS = 2
@@ -77,7 +75,7 @@ def _checksum(decisions: np.ndarray) -> str:
     ).hexdigest()[:16]
 
 
-def measure(trials: int = TRIALS) -> dict:
+def measure() -> dict:
     network, rows, steps, batch = make_serving_workload()
     capacity = 1 << SC_PER_NPE
     samples = rows.shape[0] / max(steps, 1)
@@ -95,20 +93,16 @@ def measure(trials: int = TRIALS) -> dict:
         # The pool arm runs first: right after a serial arm this
         # process's BLAS threads still spin and take CPU from the
         # workers.
-        t_compiled_pool = _best(lambda: pool.infer_rows(rows), trials)
+        t_compiled_pool = _best(lambda: pool.infer_rows(rows))
         t_legacy_serial = _best(
-            lambda: legacy_forward_rows(network.layers, rows, capacity),
-            trials,
+            lambda: legacy_forward_rows(network.layers, rows, capacity)
         )
         t_legacy_parallel = _best(
             lambda: legacy_parallel_rows(
                 network.layers, rows, capacity, workers=WORKERS
-            ),
-            trials,
+            )
         )
-        t_compiled_serial = _best(
-            lambda: compiled.forward_rows(rows), trials
-        )
+        t_compiled_serial = _best(lambda: compiled.forward_rows(rows))
 
     # -- plan cache cold/warm (hit flags pinned, times informational) ----
     with tempfile.TemporaryDirectory() as root:
@@ -140,8 +134,7 @@ def measure(trials: int = TRIALS) -> dict:
         "decisions_sha256_16": _checksum(comp_dec),
     }
 
-    return {
-        "version": SCHEMA_VERSION,
+    return {REPORT_PATH: {
         "note": ("fingerprint/checksums/equality/cache-hit flags are "
                  "pinned by --check; wall-clock numbers are "
                  "informational"),
@@ -184,7 +177,7 @@ def measure(trials: int = TRIALS) -> dict:
                 t_legacy_parallel / t_compiled_pool, 3
             ),
         },
-    }
+    }}
 
 
 def _pinned_view(report: dict) -> dict:
@@ -202,66 +195,7 @@ def _pinned_view(report: dict) -> dict:
     return view
 
 
-def write(path: Path = REPORT_PATH) -> dict:
-    report = measure()
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return report
-
-
-def check(path: Path = REPORT_PATH) -> int:
-    if not path.exists():
-        print(f"missing baseline {path}; run with --write first",
-              file=sys.stderr)
-        return 2
-    baseline = json.loads(path.read_text())
-    if baseline.get("version") != SCHEMA_VERSION:
-        print(f"baseline schema {baseline.get('version')} != "
-              f"{SCHEMA_VERSION}; regenerate with --write", file=sys.stderr)
-        return 2
-    expected = _pinned_view(baseline)
-    actual = _pinned_view(measure(trials=1))
-    drift = {
-        key: (expected.get(key), actual.get(key))
-        for key in sorted(set(expected) | set(actual))
-        if expected.get(key) != actual.get(key)
-    }
-    if drift:
-        print("serving-pipeline drift against BENCH_serve.json:",
-              file=sys.stderr)
-        for key, (want, got) in drift.items():
-            print(f"  {key}: baseline={want} measured={got}",
-                  file=sys.stderr)
-        print("(if the change is intentional, regenerate the baseline "
-              "with --write)", file=sys.stderr)
-        return 1
-    print(f"serve perf smoke OK: {len(expected)} pinned fields match "
-          f"{path.name}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (re)write the baseline JSON")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on pinned-field drift")
-    args = parser.parse_args(argv)
-    if args.write:
-        report = write()
-        throughput = report["throughput"]
-        print(
-            "  pool over pre-PR parallel: "
-            f"{throughput['speedup_pool_over_legacy_parallel']}x; "
-            "compiled serial over legacy serial: "
-            f"{throughput['speedup_compiled_serial_over_legacy_serial']}x; "
-            "warm cache: "
-            f"{report['plan_cache']['warm_speedup']}x"
-        )
-        return 0
-    return check()
-
+VIEWS = {REPORT_PATH: _pinned_view}
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(VIEWS, measure))

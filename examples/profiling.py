@@ -2,8 +2,9 @@
 
 Shows the analysis tooling a deployment would run before committing to a
 chip configuration: the per-layer time/energy profile, per-class quality
-metrics, the timing sign-off margins of the gate-level protocol, and a
-headline-metric snapshot for regression tracking.
+metrics, the timing sign-off margins of the gate-level protocol, and the
+headline-metric snapshot: a flat dict that
+``repro.harness.regression.drift`` compares exactly against a kept copy.
 
 Run:  python examples/profiling.py
 """
@@ -65,9 +66,8 @@ def main() -> None:
     driver.run_pass(Polarity.SET1, [True, True])
     print(format_table(driver.sim.margin_report()[:6]))
 
-    print("\n-- headline-metric snapshot (regression gate) --")
-    snap = snapshot_headline_metrics()
-    for key, value in sorted(snap.metrics.items()):
+    print("\n-- headline-metric snapshot (flat dict for drift) --")
+    for key, value in sorted(snapshot_headline_metrics().items()):
         print(f"  {key}: {value:,.2f}")
 
 

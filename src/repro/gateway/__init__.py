@@ -26,9 +26,10 @@ Layers (each its own module, composable and individually testable):
   retry budgets with seeded jitter, idempotency keys (exactly-once
   retries), optional hedging.
 * :mod:`repro.gateway.loadgen` -- ``python -m repro loadtest``: the
-  open/closed-loop campaign pinned by
-  ``benchmarks/bench_gateway.py`` (``--proxy`` routes it through the
-  :mod:`repro.netchaos` proxy for a degraded-network run).
+  open/closed-loop campaign whose deterministic fields
+  ``benchmarks/bench_gateway.py --check`` pins in ``BENCH_gateway.json``
+  (``--proxy`` routes it through the :mod:`repro.netchaos` proxy for a
+  degraded-network run).
 
 See ``docs/GATEWAY.md`` for the endpoint contract, the client
 resilience semantics, and the load-harness methodology.

@@ -38,7 +38,8 @@ carries its *expected* deterministic status counts: the campaign
 ``passed`` verdict asserts statuses match expectations exactly, while
 client-side p50/p99 latency and throughput are measured and recorded as
 informational (wall clock is never pinned --
-``benchmarks/bench_gateway.py`` pins the deterministic fields only).
+``benchmarks/bench_gateway.py --check`` pins the deterministic fields
+only, in ``BENCH_gateway.json``).
 """
 
 from __future__ import annotations

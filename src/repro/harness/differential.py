@@ -20,9 +20,9 @@ proof as reusable machinery:
 * :func:`run_traced_gate_differential` -- drive a random ``n x n``
   gate-level chip protocol through the event engine and replay it
   through the trace engine, comparing the physics bit-for-bit;
-* :meth:`DifferentialReport.to_snapshot` -- feed the result into the
-  :mod:`repro.harness.regression` snapshot machinery so CI can gate on
-  "still equivalent, still the same totals".
+* :meth:`DifferentialReport.to_snapshot` -- the result as a flat dict
+  that :func:`repro.harness.regression.drift` compares exactly, so a
+  baseline can gate on "still equivalent, still the same totals".
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.harness.regression import MetricSnapshot
 from repro.snn.binarize import BinarizedLayer, BinarizedNetwork
 from repro.ssnn.bucketing import hardware_layer_outputs
 from repro.ssnn.runtime import RuntimeResult, SushiRuntime
@@ -228,30 +227,28 @@ class DifferentialReport:
             )
         return "\n".join(lines)
 
-    def to_snapshot(self, name: str = "differential") -> MetricSnapshot:
-        """Scalar form for the :mod:`repro.harness.regression` gate.
+    def to_snapshot(self) -> Dict[str, float]:
+        """Flat scalar form for :func:`repro.harness.regression.drift`.
 
         Mismatch metrics must stay 0; the totals (spikes, synaptic ops)
-        pin the workload so a silent semantics change trips the gate.
+        pin the workload so a silent semantics change shows as drift.
         """
-        snap = MetricSnapshot(name)
-        snap.record("samples", self.samples)
-        snap.record("steps", self.steps)
-        snap.record("engines", len(self.results))
-        snap.record(
-            "mismatched_comparisons",
-            sum(0 if c.equivalent else 1 for c in self.comparisons),
-        )
+        snap = {
+            "samples": float(self.samples),
+            "steps": float(self.steps),
+            "engines": float(len(self.results)),
+            "mismatched_comparisons": float(
+                sum(0 if c.equivalent else 1 for c in self.comparisons)
+            ),
+        }
         base = self.results.get(self.baseline)
         if base is not None:
-            snap.record("total_output_spikes",
-                        float(base.output_raster.sum()))
-            snap.record("spurious_decisions",
-                        float(base.spurious_decisions))
-            snap.record("synaptic_ops", float(base.synaptic_ops))
-            snap.record("prediction_sum", float(base.predictions.sum()))
+            snap["total_output_spikes"] = float(base.output_raster.sum())
+            snap["spurious_decisions"] = float(base.spurious_decisions)
+            snap["synaptic_ops"] = float(base.synaptic_ops)
+            snap["prediction_sum"] = float(base.predictions.sum())
         if self.software_agreement is not None:
-            snap.record("software_agrees", float(self.software_agreement))
+            snap["software_agrees"] = float(self.software_agreement)
         return snap
 
 
@@ -666,12 +663,12 @@ def differential_snapshot(
     batch: int = 12,
     chip_n: int = 4,
     sc_per_npe: int = 8,
-) -> MetricSnapshot:
-    """One seeded differential run folded into a regression snapshot.
+) -> Dict[str, float]:
+    """One seeded differential run as a flat snapshot dict.
 
-    Save it once as a baseline, re-run and :func:`repro.harness.regression.
-    compare` in CI: any drift in equivalence or workload totals fails the
-    gate.
+    Keep one as a baseline, re-run and compare with
+    :func:`repro.harness.regression.drift`: any change in equivalence or
+    workload totals shows as drift.
     """
     rng = np.random.default_rng(seed)
     network = random_binarized_network(
@@ -681,4 +678,4 @@ def differential_snapshot(
     report = run_differential(
         network, trains, chip_n=chip_n, sc_per_npe=sc_per_npe
     )
-    return report.to_snapshot(f"differential-seed{seed}")
+    return report.to_snapshot()

@@ -309,13 +309,16 @@ class BoundFaults:
 
         self._validate_targets(model, fanout)
 
-        # wire_id -> tuple of applicable wire-kind specs (empty tuples are
-        # omitted so the common no-fault wire costs one dict miss).
+        # wire_id -> tuple of the wire-kind specs that can fire on it
+        # (probability > 0).  Wires without one are omitted, so such a
+        # wire costs one dict miss and never seeds a decision stream: a
+        # p=0 spec never draws.
         self.wire_specs: Dict[int, Tuple[FaultSpec, ...]] = {}
         for wid, wire in enumerate(fanout.wires):
             applicable = tuple(
                 s for s in model.specs
-                if s.kind in _WIRE_KINDS and s.matches_wire(wire)
+                if s.kind in _WIRE_KINDS and s.probability > 0.0
+                and s.matches_wire(wire)
             )
             if applicable:
                 self.wire_specs[wid] = applicable
@@ -459,10 +462,7 @@ class BoundFaults:
         trapped = False
         echoes: List[Tuple[float, int, int]] = []
         for spec in specs:
-            p = spec.probability
-            if p <= 0.0:
-                continue
-            if random_() >= p:
+            if random_() >= spec.probability:
                 continue
             if site is None:
                 site = self.fanout.wire_key(wid)

@@ -88,6 +88,10 @@ TRACE_SCHEMA_VERSION = 2
 #: recently used goes first and is loaded or recorded anew when asked.
 _SCHEDULE_MEMO = 16
 
+#: Most jittered transit vectors one bound trace keeps, keyed by
+#: ``(seed, sigma)``; the least recently used goes first.
+_TRANSIT_MEMO = 8
+
 #: One normalised stimulus: ``(cell name, input port, time in ps)``.
 NormStimulus = Tuple[str, str, float]
 
@@ -618,7 +622,7 @@ class _BoundTrace:
         transit = self.trace.wire_delay + g
         np.maximum(transit, 0.0, out=transit)
         self._transit_cache[key] = transit
-        while len(self._transit_cache) > 8:
+        while len(self._transit_cache) > _TRANSIT_MEMO:
             self._transit_cache.popitem(last=False)
         return transit
 
@@ -692,10 +696,7 @@ class _BoundTrace:
             specs = bound.wire_specs.get(wid)
             if not specs:
                 continue
-            probabilities = [s.probability for s in specs
-                             if s.probability > 0.0]
-            if not probabilities:
-                continue
+            probabilities = [s.probability for s in specs]
             random_ = fault_site_rng(
                 faults.seed, self.fanout.wire_key(wid)
             ).random

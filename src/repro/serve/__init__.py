@@ -17,8 +17,9 @@ half-open), per-request ``deadline_ms`` bounds expire queued requests
 at dispatch time, and :meth:`InferenceServer.health` /
 :meth:`InferenceServer.readiness` expose the supervision gauges.
 
-See ``docs/SERVING.md`` for the compile -> pool -> server architecture
-and ``benchmarks/bench_serve.py`` for the committed throughput gates.
+See ``docs/SERVING.md`` for the compile -> pool -> server architecture,
+``benchmarks/bench_serve.py --check`` for the ``BENCH_serve.json`` drift
+gate and ``benchmarks/test_serve_speedup.py`` for the throughput gates.
 """
 
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker

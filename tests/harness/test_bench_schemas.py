@@ -1,13 +1,16 @@
 """Golden-schema tests for every committed ``benchmarks/BENCH_*.json``.
 
 The BENCH files are the drift baselines the ``--check`` scripts diff
-against; a hand edit that drops a key would silently weaken every
-future check.  This registry pins the shape of each file -- and the
-registry itself is pinned: a new BENCH file on disk without an entry
-here fails the suite.
+against (through :mod:`repro.harness.regression`); a hand edit that
+drops a key would silently weaken every future check.  This registry
+pins the shape of each file and how many pinned fields its script's
+view reads from it -- and the registry itself is pinned: a new BENCH
+file on disk without an entry here fails the suite.
 """
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,20 @@ REGISTRY = {
     },
 }
 
+# name -> pinned fields its script's view reads from the committed file
+# (308 in all).  A view that stops reading a field fails here without a
+# re-measure.
+PINNED_FIELDS = {
+    "BENCH_simulator.json": 13,
+    "BENCH_faults.json": 75,
+    "BENCH_serve.json": 15,
+    "BENCH_chaos.json": 24,
+    "BENCH_gateway.json": 42,
+    "BENCH_cluster.json": 28,
+    "BENCH_explore.json": 11,
+    "BENCH_netchaos.json": 100,
+}
+
 SCENARIO_FIELDS = {
     "name", "mode", "sent", "statuses", "expected_statuses", "passed",
     "rejections", "latency_ms_p50", "latency_ms_p99", "latency_ms_max",
@@ -100,12 +117,45 @@ def load(name):
     return json.loads((BENCH_DIR / name).read_text())
 
 
+@pytest.fixture(scope="module")
+def views():
+    """Every bench script's pinned views, keyed by baseline file name."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(BENCH_DIR))  # the scripts' legacy_* imports
+    try:
+        found = {}
+        for script in sorted(BENCH_DIR.glob("bench_*.py")):
+            spec = importlib.util.spec_from_file_location(
+                f"_schema_{script.stem}", script
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            for path, view in module.VIEWS.items():
+                assert path.name not in found, path.name
+                found[path.name] = view
+        return found
+    finally:
+        sys.path[:] = saved
+
+
 def test_every_bench_file_on_disk_is_registered():
     on_disk = {p.name for p in BENCH_DIR.glob("BENCH_*.json")}
-    assert on_disk == set(REGISTRY), (
+    assert on_disk == set(REGISTRY) == set(PINNED_FIELDS), (
         "BENCH files and the schema registry diverged; register new "
         "baselines here so their shape is pinned"
     )
+
+
+def test_every_baseline_is_checked_by_one_script(views):
+    assert set(views) == set(REGISTRY)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_pinned_field_count(name, views):
+    view = views[name](load(name))
+    assert len(view) == PINNED_FIELDS[name]
+    unread = sorted(key for key, value in view.items() if value is None)
+    assert not unread, f"{name} lacks pinned fields {unread}"
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

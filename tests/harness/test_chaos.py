@@ -3,8 +3,8 @@
 The heavy lifting -- that every injected failure recovers bit-identical
 to serial -- is asserted *inside* each scenario; these tests check the
 harness machinery (hook budgets, scenario registry, report schema, CLI)
-and run the cheap scenarios end-to-end.  The full campaign runs in CI
-as ``python -m repro chaos --quick``.
+and run the cheap scenarios end-to-end.  The full quick campaign runs
+once in CI, in ``benchmarks/bench_chaos.py --check``.
 """
 
 import json

@@ -5,8 +5,9 @@ Each scenario asserts its own invariants internally (bit-identical
 predictions, exactly-once computes, exact retry/shed ledgers); these
 tests run the two cheapest ones through the public runner and pin the
 headline ledger numbers, plus the workload determinism the whole
-campaign rests on.  The full network campaign runs in CI via
-``bench_netchaos.py --check``.
+campaign rests on.  The full network campaign runs in CI within
+``bench_chaos.py --check``, which pins its ledgers in
+``BENCH_netchaos.json``.
 """
 
 import numpy as np

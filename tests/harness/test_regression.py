@@ -1,156 +1,181 @@
-"""Tests for metric snapshots and regression comparison."""
+"""Tests for the drift gate that checks every ``benchmarks/BENCH_*.json``.
+
+A fake ``measure`` stands in for a benchmark run, so no campaign runs.
+"""
 
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.harness.regression import (
-    MetricSnapshot,
-    compare,
+    SCHEMA_VERSION,
+    drift,
+    main,
     snapshot_headline_metrics,
+    write,
 )
 
 
+def pinned(report):
+    """The fake's pinned view: every field under ``pinned``."""
+    return {f"pinned.{key}": value
+            for key, value in report["pinned"].items()}
+
+
+class FakeBench:
+    """One baseline path, its view, and a ``measure`` that counts calls
+    and returns whatever ``pinned`` currently holds."""
+
+    def __init__(self, tmp_path, name="BENCH_fake.json"):
+        self.path = tmp_path / name
+        self.pinned = {"a": 1, "b": [2, 3]}
+        self.wall_s = 0.0
+        self.calls = 0
+
+    def measure(self):
+        self.calls += 1
+        self.wall_s += 1.5  # informational: moves on every run
+        return {self.path: {"note": "fake", "wall_s": self.wall_s,
+                            "pinned": dict(self.pinned)}}
+
+    def run(self, *argv):
+        return main({self.path: pinned}, self.measure, list(argv))
+
+    def drifted(self, capsys, change):
+        """Write a baseline, apply ``change`` to the pinned fields, and
+        return ``--check``'s exit code and stderr."""
+        self.run("--write")
+        change(self.pinned)
+        capsys.readouterr()
+        status = self.run("--check")
+        return status, capsys.readouterr().err
+
+
+@pytest.fixture()
+def bench(tmp_path):
+    return FakeBench(tmp_path)
+
+
 class TestSnapshot:
+    """The baseline files: what ``--write`` puts down and ``--check``
+    accepts."""
+
     def test_record_and_round_trip(self, tmp_path):
-        snap = MetricSnapshot("test")
-        snap.record("gsops", 1355.0)
-        snap.record("power", 41.87)
-        path = str(tmp_path / "snap.json")
-        snap.save(path)
-        loaded = MetricSnapshot.load(path)
-        assert loaded.name == "test"
-        assert loaded.metrics == snap.metrics
-
-    def test_non_numeric_rejected(self):
-        snap = MetricSnapshot("x")
-        with pytest.raises(ConfigurationError):
-            snap.record("bad", "fast")
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            MetricSnapshot.load(str(tmp_path / "ghost.json"))
-
-    def test_malformed_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"name": "x"}))  # no "metrics" key
-        with pytest.raises(ConfigurationError) as exc:
-            MetricSnapshot.load(str(path))
-        assert "metrics" in str(exc.value)
-        path.write_text(json.dumps({"metrics": {}}))  # no "name" key
-        with pytest.raises(ConfigurationError):
-            MetricSnapshot.load(str(path))
-
-    def test_int_metrics_coerced_to_float(self, tmp_path):
-        snap = MetricSnapshot("ints")
-        snap.record("count", 7)
-        assert snap.metrics["count"] == 7.0
-        assert isinstance(snap.metrics["count"], float)
-        path = str(tmp_path / "ints.json")
-        snap.save(path)
-        assert MetricSnapshot.load(path).metrics == {"count": 7.0}
+        path = tmp_path / "BENCH_x.json"
+        report = {"pinned": {"gsops": 1355.0, "ok": True}, "wall_s": 0.1}
+        write({path: report})
+        assert json.loads(path.read_text()) == {
+            **report, "version": SCHEMA_VERSION,
+        }
 
     def test_saved_json_is_sorted_and_stable(self, tmp_path):
-        snap = MetricSnapshot("stable")
-        snap.record("zeta", 1.0)
-        snap.record("alpha", 2.0)
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        snap.save(a)
-        snap.save(b)
-        text = open(a).read()
-        assert text == open(b).read()
-        assert text.index('"alpha"') < text.index('"zeta"')
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        report = {"zeta": 1.0, "alpha": {"y": 2, "x": 3}}
+        write({a: report, b: report})
+        text = a.read_text()
+        assert text == b.read_text()
+        assert text.endswith("}\n")
+        assert text.index('"alpha"') < text.index('"version"') \
+            < text.index('"zeta"')
+        assert text.index('"x"') < text.index('"y"')
+
+    def test_missing_file_rejected(self, bench, capsys):
+        assert bench.run("--check") == 2
+        assert bench.calls == 0  # nothing is measured
+        assert "missing baseline" in capsys.readouterr().err
+
+    def test_malformed_snapshot_rejected(self, bench, capsys):
+        bench.run("--write")
+        payload = json.loads(bench.path.read_text())
+        for version in (SCHEMA_VERSION + 1, None):
+            payload["version"] = version
+            bench.path.write_text(json.dumps(payload))
+            assert bench.run("--check") == 2
+            assert "regenerate with --write" in capsys.readouterr().err
+        assert bench.calls == 1  # the --write only
 
 
 class TestCompare:
-    def make(self, **metrics):
-        snap = MetricSnapshot("s")
-        for key, value in metrics.items():
-            snap.record(key, value)
-        return snap
+    """``drift`` and the exit code and report of ``--check``."""
 
     def test_identical_snapshots_pass(self):
-        a = self.make(gsops=1355.0)
-        assert compare(a, self.make(gsops=1355.0)) == []
+        assert drift({"a": 1, "b": [1]}, {"b": [1], "a": 1}) == {}
 
-    def test_within_tolerance_passes(self):
-        a = self.make(gsops=1000.0)
-        b = self.make(gsops=1030.0)
-        assert compare(a, b, tolerance=0.05) == []
+    def test_round_trip_then_compare(self, bench, capsys):
+        assert bench.run("--write") == 0
+        assert bench.run("--check") == 0  # wall_s moved, still a match
+        assert bench.calls == 2
+        assert "OK: 2 pinned fields match BENCH_fake.json" in \
+            capsys.readouterr().out
 
-    def test_excess_drift_detected(self):
-        a = self.make(gsops=1000.0)
-        b = self.make(gsops=1200.0)
-        failures = compare(a, b, tolerance=0.05)
-        assert len(failures) == 1
-        assert failures[0].key == "gsops"
-        assert failures[0].relative == pytest.approx(0.2)
-
-    def test_per_metric_tolerance_overrides(self):
-        a = self.make(noisy=1.0, stable=1.0)
-        b = self.make(noisy=1.3, stable=1.0)
-        failures = compare(a, b, tolerance=0.01,
-                           per_metric_tolerance={"noisy": 0.5})
-        assert failures == []
-
-    def test_added_and_removed_metrics_flagged(self):
-        failures = compare(self.make(old=1.0), self.make(new=1.0))
-        keys = {f.key for f in failures}
-        assert keys == {"old", "new"}
-
-    def test_zero_baseline(self):
-        failures = compare(self.make(x=0.0), self.make(x=0.0))
-        assert failures == []
-        failures = compare(self.make(x=0.0), self.make(x=1.0))
-        assert len(failures) == 1
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compare(self.make(a=1.0), self.make(a=1.0), tolerance=-1.0)
+    def test_excess_drift_detected(self, bench, capsys):
+        status, err = bench.drifted(capsys, lambda p: p.update(a=7))
+        assert status == 1
+        assert "drift against BENCH_fake.json:\n" in err
+        assert "  pinned.a: baseline=1 measured=7\n" in err
+        assert "pinned.b" not in err
 
     def test_tolerance_miss_reports_both_values(self):
-        failures = compare(self.make(x=10.0), self.make(x=12.0),
-                           tolerance=0.1)
-        assert len(failures) == 1
-        drift = failures[0]
-        assert drift.baseline == 10.0
-        assert drift.current == 12.0
-        assert drift.relative == pytest.approx(0.2)
+        assert drift({"x": 10.0, "y": 1}, {"x": 12.0, "y": 1}) == {
+            "x": (10.0, 12.0)
+        }
 
-    def test_missing_metric_drift_has_no_relative(self):
-        failures = compare(self.make(x=1.0), self.make())
-        assert len(failures) == 1
-        assert failures[0].current is None
-        assert failures[0].relative is None
+    def test_added_and_removed_metrics_flagged(self, bench, capsys):
+        status, err = bench.drifted(capsys, lambda p: p.update(c=4))
+        assert status == 1
+        assert "  pinned.c: baseline=None measured=4\n" in err
+        status, err = bench.drifted(capsys, lambda p: p.pop("b"))
+        assert status == 1
+        assert "  pinned.b: baseline=[2, 3] measured=None\n" in err
+
+    def test_drift_lists_keys_in_order(self):
+        moved = drift({"c": 1, "a": 1, "gone": 0},
+                      {"c": 2, "a": 1, "new": None})
+        assert moved == {"c": (1, 2), "gone": (0, None),
+                         "new": (None, None)}
+        assert list(moved) == ["c", "gone", "new"]
+
+    def test_zero_baseline(self):
+        assert drift({"x": 0.0}, {"x": 0.0}) == {}
+        assert drift({"x": 0.0}, {"x": 1.0}) == {"x": (0.0, 1.0)}
+        assert drift({"x": 0}, {}) == {"x": (0, None)}
 
     def test_zero_tolerance_is_exact_gate(self):
-        """tolerance=0.0 (the differential harness's CI mode) trips on any
-        movement at all."""
-        assert compare(self.make(x=1.0), self.make(x=1.0),
-                       tolerance=0.0) == []
-        failures = compare(self.make(x=1.0), self.make(x=1.0 + 1e-12),
-                           tolerance=0.0)
-        assert len(failures) == 1
+        assert drift({"x": 1.0}, {"x": 1.0 + 1e-12}) == {
+            "x": (1.0, 1.0 + 1e-12)
+        }
 
-    def test_round_trip_then_compare(self, tmp_path):
-        """The exact CI loop: snapshot -> JSON -> load -> compare."""
-        snap = self.make(spikes=137.0, synops=42.0)
-        path = str(tmp_path / "base.json")
-        snap.save(path)
-        assert compare(MetricSnapshot.load(path), snap, tolerance=0.0) == []
+    def test_one_measure_checks_every_baseline(self, tmp_path, capsys):
+        first, second = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
+        runs = []
+
+        def measure():
+            runs.append(len(runs))
+            return {first: {"pinned": {"x": 1}},
+                    second: {"pinned": {"y": len(runs)}}}
+
+        views = {first: pinned, second: pinned}
+        assert main(views, measure, ["--write"]) == 0
+        assert main(views, measure, ["--check"]) == 1
+        assert runs == [0, 1]
+        captured = capsys.readouterr()
+        assert "OK: 1 pinned fields match BENCH_a.json" in captured.out
+        assert "pinned.y: baseline=1 measured=2" in captured.err
+
+    def test_mode_is_required(self, bench):
+        with pytest.raises(SystemExit) as exc:
+            bench.run()
+        assert exc.value.code == 2
+        assert bench.calls == 0
 
 
 class TestHeadlineSnapshot:
     def test_headline_values_match_calibration(self):
         snap = snapshot_headline_metrics()
-        assert snap.metrics["peak_gsops"] == pytest.approx(1355, rel=0.01)
-        assert snap.metrics["peak_power_mw"] == pytest.approx(41.87,
-                                                              rel=0.02)
-        assert snap.metrics["table2_total_jj"] == pytest.approx(45_542,
-                                                                rel=0.05)
+        assert snap["peak_gsops"] == pytest.approx(1355, rel=0.01)
+        assert snap["peak_power_mw"] == pytest.approx(41.87, rel=0.02)
+        assert snap["table2_total_jj"] == pytest.approx(45_542, rel=0.05)
 
     def test_snapshot_is_stable_across_calls(self):
-        a = snapshot_headline_metrics()
-        b = snapshot_headline_metrics()
-        assert compare(a, b, tolerance=0.0) == []
+        assert drift(snapshot_headline_metrics(),
+                     snapshot_headline_metrics()) == {}

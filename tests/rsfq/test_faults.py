@@ -18,6 +18,8 @@ from repro.errors import (
     DeadlineExceededError,
     FaultInjectionError,
 )
+from repro.neuro.chip import ChipConfig, ChipDriver, GateLevelChip
+from repro.neuro.multistate import Polarity
 from repro.rsfq import (
     FaultModel,
     FaultSpec,
@@ -110,6 +112,67 @@ class TestModelComposition:
         net, _, _ = chain()
         sim = Simulator(net, faults=FaultModel.single("pulse_drop", 0.0))
         assert sim.deliver == sim._deliver_faulty
+
+
+class TestZeroProbabilitySpecs:
+    """A spec that cannot fire never draws, so it binds to nothing: no
+    per-wire entry, no decision stream, no flux-trap proxy."""
+
+    @staticmethod
+    def jittered_chip_trial(faults):
+        chip = GateLevelChip(ChipConfig(n=2, sc_per_npe=4))
+        sim = Simulator(chip.net, jitter_ps=3.0, seed=7, faults=faults)
+        protocol = ChipDriver(chip, sim)
+        for step in range(3):
+            protocol.begin_timestep([2, 1 + step % 2])
+            protocol.configure_weights([[1, step % 2], [1, 1]])
+            protocol.run_pass(Polarity.SET1, [True, True])
+            protocol.run_pass(Polarity.SET0, [step % 2 == 0, True])
+            protocol.run_pass(Polarity.SET1, [True, step % 2 == 1])
+            protocol.read_out()
+        return sim, [list(chip.fire_times(j)) for j in range(2)]
+
+    def test_p0_drop_seeds_no_stream_and_keeps_fire_times(self):
+        clean_sim, clean = self.jittered_chip_trial(None)
+        sim, fires = self.jittered_chip_trial(
+            FaultModel.single("pulse_drop", 0.0, seed=1)
+        )
+        bound = sim._fault_runtime
+        assert sim.deliver == sim._deliver_faulty
+        assert bound.wire_specs == {}
+        assert bound._streams == {}
+        assert any(clean) and fires == clean
+        assert sim.events_processed == clean_sim.events_processed
+        assert sim.fault_counts() == {}
+
+    def test_only_specs_that_can_fire_bind_to_wires(self):
+        net, _, _ = chain()
+        model = FaultModel(specs=(
+            FaultSpec("pulse_drop", 0.0),
+            FaultSpec("extra_delay", 0.5, delay_ps=1.0),
+        ))
+        bound = Simulator(net, faults=model)._fault_runtime
+        assert bound.wire_specs
+        for specs in bound.wire_specs.values():
+            assert [s.kind for s in specs] == ["extra_delay"]
+
+    def test_p0_flux_trap_adds_no_trap_proxies(self):
+        def trap_net():
+            net = Netlist("trap")
+            j = net.add(library.JTL("j"))
+            tff = net.add(library.TFFL("t"))
+            net.connect(j, "dout", tff, "din", delay=3.0)
+            return net
+
+        live = Simulator(trap_net(), faults=FaultModel.single(
+            "flux_trap", 1.0, cells={"t"}))._fault_runtime
+        assert live.trap_index  # the same spec at p=1 adds proxies
+        net = trap_net()
+        sim = Simulator(net, faults=FaultModel.single(
+            "flux_trap", 0.0, cells={"t"}))
+        bound = sim._fault_runtime
+        assert bound.trap_index == {}
+        assert bound.cells_view == tuple(sim._fanout.cell_list)
 
 
 class TestFaultSemantics:

@@ -22,6 +22,7 @@ from repro.rsfq.trace import (
     GLOBAL_TRACE_COUNTERS,
     TRACE_KIND,
     _SCHEDULE_MEMO,
+    _TRANSIT_MEMO,
     CompiledTrace,
     ScheduleRecorder,
     TraceEngine,
@@ -176,6 +177,30 @@ class TestScheduleMemo:
         assert run(0) == first  # evicted: recorded anew, bit-identical
         assert engine.stats["records"] == records + 1
         assert len(engine._mem) == _SCHEDULE_MEMO
+
+    def test_transit_cache_keeps_the_most_recent_variations(self):
+        engine = TraceEngine(build_chain()[0])
+        variations = [(seed, sigma) for seed in range(4)
+                      for sigma in (0.2, 0.4, 0.6)]
+        assert len(variations) > _TRANSIT_MEMO
+
+        def run(seed, sigma):
+            net, probe = build_chain()
+            episode = engine.run_episode((SEGMENT,), jitter_ps=sigma,
+                                         seed=seed, netlist=net)
+            assert episode.mode == "replay"
+            return probe.times
+
+        first = run(*variations[0])
+        for seed, sigma in variations[1:]:
+            run(seed, sigma)
+        (bound,) = engine._mem.values()
+        assert list(bound._transit_cache) == [
+            (repr(seed), sigma) for seed, sigma in
+            variations[-_TRANSIT_MEMO:]
+        ]
+        assert run(*variations[0]) == first  # evicted: drawn anew
+        assert len(bound._transit_cache) == _TRANSIT_MEMO
 
 
 class TestFaults:

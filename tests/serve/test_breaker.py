@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve import BreakerSnapshot, CircuitBreaker
+from repro.serve.breaker import _TRANSITION_WINDOW
 
 
 class FakeClock:
@@ -135,6 +136,23 @@ class TestSnapshotAndValidation:
             ("open", "half-open"),
             ("half-open", "closed"),
         )
+
+    def test_transition_log_stays_at_its_window(self, breaker, clock):
+        cycles = _TRANSITION_WINDOW + 1  # 3 transitions each
+        for _ in range(cycles):
+            for _ in range(3):
+                breaker.record_failure()
+            clock.advance(6.0)
+            assert breaker.allow()
+            breaker.record_success()
+        snap = breaker.snapshot()
+        assert len(snap.transitions) == _TRANSITION_WINDOW
+        assert snap.transitions[-3:] == (
+            ("closed", "open"),
+            ("open", "half-open"),
+            ("half-open", "closed"),
+        )
+        assert (snap.opens, snap.closes, snap.probes) == (cycles,) * 3
 
     def test_validates_configuration(self):
         with pytest.raises(ConfigurationError):
